@@ -32,15 +32,15 @@ def one_hot_video():
 
 def readable_params():
     params = init_params(3, 3, 3, 0, 0, np.random.default_rng(0))
-    params.video_proj_w = np.eye(3)
-    params.query_proj_w = np.eye(3)
-    params.fusion_w = np.zeros((3, 6))
-    params.proposal_attn.w_v = np.zeros((9, 9))
-    params.proposal_attn.fc_w = np.eye(9)
-    params.proposal_attn.fc_b = np.zeros(9)
+    params["video_proj.w"] = np.eye(3)
+    params["query_proj.w"] = np.eye(3)
+    params["fusion.w"] = np.zeros((3, 6))
+    params["proposal_attn.w_v"] = np.zeros((9, 9))
+    params["proposal_attn.fc_w"] = np.eye(9)
+    params["proposal_attn.fc_b"] = np.zeros(9)
     # middle third of the fused vector is S * Q
-    params.classifier_w = np.concatenate([np.zeros(3), np.ones(3), np.zeros(3)])
-    params.classifier_b = np.zeros(())
+    params["classifier.w"] = np.concatenate([np.zeros(3), np.ones(3), np.zeros(3)])
+    params["classifier.b"] = np.zeros(())
     return params
 
 

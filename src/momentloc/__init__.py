@@ -44,7 +44,6 @@ from .evaluation import (
     analyze_predictions,
     count_pairs,
     evaluate,
-    hull_consistency_from_predictions,
     predict_sentences,
     recall_at_iou,
     recall_from_predictions,
@@ -72,7 +71,6 @@ from .losses import (
     video_score,
 )
 from .network import (
-    AttentionParams,
     LocalizeResult,
     MatchScores,
     ModelParams,
@@ -83,6 +81,7 @@ from .network import (
     lift,
     localize,
     match,
+    params_from_named,
     pool_sentence,
     score_proposals,
 )
@@ -94,10 +93,8 @@ from .segments import (
     clips_to_seconds,
     generate_proposals,
     hull,
-    in_padded_region,
     iou,
     order_relation,
-    pool_proposal_features,
     query_order,
 )
 from .synthetic import (
@@ -122,7 +119,6 @@ from .training import (
     grid_from_snapshot,
     load_checkpoint,
     metrics_to_csv,
-    params_from_named,
     sample_batch,
     save_checkpoint,
     train,

@@ -140,15 +140,6 @@ def scale(a, c: float) -> Tensor:
     return Tensor(a.value * c, (a,), backward)
 
 
-def add_const(a, c: float) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, g)
-
-    return Tensor(a.value + float(c), (a,), backward)
-
-
 def rsub_const(c: float, a) -> Tensor:
     """c - a."""
     a = as_tensor(a)
@@ -283,20 +274,20 @@ def segment_max(a, segments) -> Tensor:
     """
     a = as_tensor(a)
     x = a.value
+    bounds = np.asarray(segments, dtype=np.int64).reshape(-1, 2).tolist()
     n_cols = x.shape[1]
-    out_value = np.empty((len(segments), n_cols), dtype=np.float64)
-    argrows = np.empty((len(segments), n_cols), dtype=np.int64)
-    for k, (s, e) in enumerate(segments):
+    cols = np.arange(n_cols)
+    out_value = np.empty((len(bounds), n_cols), dtype=np.float64)
+    argrows = np.empty((len(bounds), n_cols), dtype=np.int64)
+    for k, (s, e) in enumerate(bounds):
         block = x[s:e]
         idx = block.argmax(axis=0)
         argrows[k] = s + idx
-        out_value[k] = block[idx, np.arange(n_cols)]
+        out_value[k] = block[idx, cols]
 
     def backward(g):
         ga = np.zeros_like(x)
-        cols = np.arange(n_cols)
-        for k in range(len(segments)):
-            np.add.at(ga, (argrows[k], cols), g[k])
+        np.add.at(ga, (argrows, cols), g)  # segment by segment, as a loop would
         _accumulate(a, ga)
 
     return Tensor(out_value, (a,), backward)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import filter_split
-from .errors import CheckpointMismatchError, PredictionsMismatchError
+from .errors import CheckpointMismatchError, DataError, PredictionsMismatchError
 from .losses import concat_queries
 from .network import localize
 from .segments import hull, iou, order_relation
@@ -41,8 +41,10 @@ class EvalReport:
     tau_eval: float
 
 
-def _check_compatible(records, checkpoint: Checkpoint):
-    """The checkpoint must have been trained for this data shape."""
+def _check_compatible(records, checkpoint: Checkpoint, split: str | None = None):
+    """The records must exist and match the checkpoint's data shape."""
+    if not records:
+        raise DataError(f"no records in split {split!r}" if split else "no records to evaluate")
     rec = records[0]
     checks = [
         ("l_c", checkpoint.config["l_c"], rec.clips.l_c),
@@ -57,6 +59,10 @@ def _check_compatible(records, checkpoint: Checkpoint):
 def predict_sentences(records, checkpoint: Checkpoint) -> dict:
     """(video id, position) -> predicted (start_s, end_s) for every sentence."""
     _check_compatible(records, checkpoint)
+    return _predict(records, checkpoint)
+
+
+def _predict(records, checkpoint: Checkpoint) -> dict:
     grid_config = grid_from_snapshot(checkpoint.config)
     preds = {}
     for rec in records:
@@ -121,20 +127,6 @@ def temporal_consistency(corpus, checkpoint: Checkpoint, split: str | None = Non
     return temporal_consistency_from_predictions(records, preds)
 
 
-def hull_consistency_from_predictions(records, preds: dict, tau_eval=0.5):
-    """Prediction-only analogue of semantic consistency: the hull of the two
-    per-sentence predictions must overlap the ground-truth hull above tau."""
-    consistent = total = 0
-    for rec in records:
-        for sent_a, sent_b in _video_pairs(rec):
-            pred_hull = hull(preds[(rec.id, sent_a.position)], preds[(rec.id, sent_b.position)])
-            gt_hull = hull(sent_a.gt_segment, sent_b.gt_segment)
-            total += 1
-            if iou(pred_hull, gt_hull) > tau_eval:
-                consistent += 1
-    return consistent / total if total else None
-
-
 def analyze_predictions(preds: dict, gt_map: dict, tau_eval=0.5) -> dict:
     """Score an external predictions mapping against ground truth alone.
 
@@ -177,7 +169,11 @@ def semantic_consistency(corpus, checkpoint: Checkpoint, tau_eval=0.5,
     """Localise each concatenated sentence pair; count predictions whose IoU
     with the hull of the pair's ground-truth segments exceeds tau_eval."""
     records = filter_split(corpus, split)
-    _check_compatible(records, checkpoint)
+    _check_compatible(records, checkpoint, split)
+    return _semantic(records, checkpoint, tau_eval)
+
+
+def _semantic(records, checkpoint: Checkpoint, tau_eval) -> float | None:
     grid_config = grid_from_snapshot(checkpoint.config)
     max_concat = checkpoint.config.get("max_concat_len", 40)
     consistent = total = 0
@@ -200,12 +196,13 @@ def evaluate(corpus, checkpoint: Checkpoint, thresholds=(0.1, 0.3, 0.5),
              split: str | None = None, tau_eval=0.5) -> EvalReport:
     """Full report: recall at every threshold plus both consistency ratios."""
     records = filter_split(corpus, split)
-    preds = predict_sentences(records, checkpoint)
+    _check_compatible(records, checkpoint, split)
+    preds = _predict(records, checkpoint)
     recall, details = recall_from_predictions(records, preds, thresholds)
     return EvalReport(
         recall_at=recall,
         temporal_consistency=temporal_consistency_from_predictions(records, preds),
-        semantic_consistency=semantic_consistency(corpus, checkpoint, tau_eval, split),
+        semantic_consistency=_semantic(records, checkpoint, tau_eval),
         per_query=details,
         num_queries=len(details),
         num_pairs=count_pairs(records),

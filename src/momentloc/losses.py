@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import MomentlocError
-from .network import MatchScores, _as_lifted, _match_t
+from .network import MatchScores, match
 from .segments import GridConfig, ProposalGrid, hull, query_order
 
 EPS = 1e-7
@@ -205,9 +205,8 @@ def smt_loss(video, qa, qb, best_pair, params, tau: float, grid_config: GridConf
     proposal most overlapping hull(best_pair) outscore every proposal with
     hull-IoU below tau.
     """
-    p = _as_lifted(params)
     cq = concat_queries(qa, qb, max_concat)
-    ms = _match_t(video, cq, p, grid_config)
+    ms = match(video, cq, params, grid_config)
     part = semantic_partition(ms, hull(best_pair[0], best_pair[1]), tau)
     st = _scores_tensor(ms)
     loss = ad.neg(ad.log(_clamped(ad.pick(st, part.positive[0]))))
@@ -265,19 +264,18 @@ def total_loss(batch, params, config: LossConfig) -> LossBreakdown:
     """
     if not batch:
         raise MomentlocError("empty batch")
-    p = _as_lifted(params)
     bce_terms, tmp_terms, smt_terms = [], [], []
     consistent_flags = []
     for item in batch:
         queries = [(item.query_a, item.neg_a)]
         if item.query_b is not None:
             queries.append((item.query_b, item.neg_b))
-        pos_scores = [_match_t(item.video, q, p, config.grid) for q, _ in queries]
+        pos_scores = [match(item.video, q, params, config.grid) for q, _ in queries]
         if config.use_bce:
             for (q, negs), ms in zip(queries, pos_scores):
                 p_pos = video_score(ms)
-                p_neg_v = video_score(_match_t(negs.neg_video, q, p, config.grid))
-                p_neg_q = video_score(_match_t(item.video, negs.neg_query, p, config.grid))
+                p_neg_v = video_score(match(negs.neg_video, q, params, config.grid))
+                p_neg_q = video_score(match(item.video, negs.neg_query, params, config.grid))
                 bce_terms.append(bce_loss(p_pos, p_neg_q, p_neg_v))
         if item.query_b is not None and (config.use_tmp or config.use_smt):
             joint = joint_probability(pos_scores[0], pos_scores[1])
@@ -290,7 +288,7 @@ def total_loss(batch, params, config: LossConfig) -> LossBreakdown:
             if config.use_smt:
                 seg_a, seg_b, _ = _best_consistent_pair(part, pos_scores[0].grid)
                 smt_terms.append(smt_loss(item.video, item.query_a, item.query_b,
-                                          (seg_a, seg_b), p, config.tau, config.grid,
+                                          (seg_a, seg_b), params, config.tau, config.grid,
                                           config.max_concat_len))
     components = []
     if bce_terms:

@@ -17,167 +17,88 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import DataError
 from .segments import GridConfig, ProposalGrid, Segment, clips_to_seconds
 
 
-@dataclass
-class AttentionParams:
-    """Weights of one attention unit at width ``dim``."""
-
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    fc_w: np.ndarray
-    fc_b: np.ndarray
-    dim: int
+_ATTENTION_KEYS = ("w_q", "w_k", "w_v", "fc_w", "fc_b")
 
 
-@dataclass
-class ModelParams:
-    """All learnable parameters of the matching network."""
+def _param_table(d, d_v, d_t, depth_self, depth_cross) -> list:
+    """(name, shape) of every parameter tensor, in the seeded init draw order.
 
-    video_proj_w: np.ndarray  # D x D_v
-    video_proj_b: np.ndarray
-    query_proj_w: np.ndarray  # D x D_t
-    query_proj_b: np.ndarray
-    v2v: tuple  # self-attention stack over clips
-    q2q: tuple  # self-attention stack over words
-    q2v: tuple  # cross-attention: proposals attending words
-    v2q: tuple  # cross-attention: words attending proposals
-    fusion_w: np.ndarray  # D x 2D
-    fusion_b: np.ndarray
-    proposal_attn: AttentionParams  # self-attention over fused rows, width 3D
-    classifier_w: np.ndarray  # 3D-vector
-    classifier_b: np.ndarray  # scalar (0-d)
-    d: int
+    The names are the checkpoint tensor names; ``{stack}.{i}.{key}`` and
+    ``proposal_attn.{key}`` are attention units (width d, and 3d over the
+    fused rows).
+    """
+    def unit(prefix, dim):
+        return [(f"{prefix}.{k}", (dim,) if k == "fc_b" else (dim, dim)) for k in _ATTENTION_KEYS]
+
+    table = [("video_proj.w", (d, d_v)), ("video_proj.b", (d,)),
+             ("query_proj.w", (d, d_t)), ("query_proj.b", (d,))]
+    for stack, depth in (("v2v", depth_self), ("q2q", depth_self),
+                         ("q2v", depth_cross), ("v2q", depth_cross)):
+        for i in range(depth):
+            table += unit(f"{stack}.{i}", d)
+    table += [("fusion.w", (d, 2 * d)), ("fusion.b", (d,))]
+    table += unit("proposal_attn", 3 * d)
+    return table + [("classifier.w", (3 * d,)), ("classifier.b", ())]
+
+
+class ModelParams(dict):
+    """Parameter name -> array (or autodiff leaf, after ``lift``).
+
+    Keys are the checkpoint tensor names, in init draw order.
+    """
 
     def named_arrays(self) -> dict:
-        """Canonical name -> array view of every parameter tensor."""
-        named = {
-            "video_proj.w": self.video_proj_w,
-            "video_proj.b": self.video_proj_b,
-            "query_proj.w": self.query_proj_w,
-            "query_proj.b": self.query_proj_b,
-            "fusion.w": self.fusion_w,
-            "fusion.b": self.fusion_b,
-            "classifier.w": self.classifier_w,
-            "classifier.b": self.classifier_b,
-        }
-        for stack_name, stack in (("v2v", self.v2v), ("q2q", self.q2q),
-                                  ("q2v", self.q2v), ("v2q", self.v2q)):
-            for i, unit in enumerate(stack):
-                named.update(_attn_named(f"{stack_name}.{i}", unit))
-        named.update(_attn_named("proposal_attn", self.proposal_attn))
-        return named
+        return self
 
-
-def _attn_named(prefix: str, unit: AttentionParams) -> dict:
-    return {
-        f"{prefix}.w_q": unit.w_q,
-        f"{prefix}.w_k": unit.w_k,
-        f"{prefix}.w_v": unit.w_v,
-        f"{prefix}.fc_w": unit.fc_w,
-        f"{prefix}.fc_b": unit.fc_b,
-    }
-
-
-def _init_matrix(rng, rows, cols):
-    bound = np.sqrt(1.0 / cols)  # fan-in scaling
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
-def _init_attention(rng, dim) -> AttentionParams:
-    return AttentionParams(
-        w_q=_init_matrix(rng, dim, dim),
-        w_k=_init_matrix(rng, dim, dim),
-        w_v=_init_matrix(rng, dim, dim),
-        fc_w=_init_matrix(rng, dim, dim),
-        fc_b=np.zeros(dim),
-        dim=dim,
-    )
+    @property
+    def leaves(self) -> dict:
+        return self
 
 
 def init_params(d: int, d_v: int, d_t: int, depth_self: int, depth_cross: int, rng) -> ModelParams:
-    """Fresh parameters: matrices uniform in +-sqrt(1/fan_in), zero biases.
+    """Fresh parameters: weights uniform in +-sqrt(1/fan_in), zero biases.
 
-    Draw order is fixed (projections, v2v, q2q, q2v, v2q, fusion, proposal
-    attention, classifier) so a seeded generator reproduces the same model.
+    Draws follow the table order (projections, v2v, q2q, q2v, v2q, fusion,
+    proposal attention, classifier) so a seeded generator reproduces the
+    same model.
     """
-    return ModelParams(
-        video_proj_w=_init_matrix(rng, d, d_v),
-        video_proj_b=np.zeros(d),
-        query_proj_w=_init_matrix(rng, d, d_t),
-        query_proj_b=np.zeros(d),
-        v2v=tuple(_init_attention(rng, d) for _ in range(depth_self)),
-        q2q=tuple(_init_attention(rng, d) for _ in range(depth_self)),
-        q2v=tuple(_init_attention(rng, d) for _ in range(depth_cross)),
-        v2q=tuple(_init_attention(rng, d) for _ in range(depth_cross)),
-        fusion_w=_init_matrix(rng, d, 2 * d),
-        fusion_b=np.zeros(d),
-        proposal_attn=_init_attention(rng, 3 * d),
-        classifier_w=_init_matrix(rng, 1, 3 * d)[0],
-        classifier_b=np.zeros(()),
-        d=d,
-    )
+    params = ModelParams()
+    for name, shape in _param_table(d, d_v, d_t, depth_self, depth_cross):
+        if name.endswith("b"):  # the biases: *.b and *.fc_b
+            params[name] = np.zeros(shape)
+        else:
+            bound = np.sqrt(1.0 / shape[-1])
+            params[name] = rng.uniform(-bound, bound, size=shape)
+    return params
 
 
-class _LiftedAttention:
-    __slots__ = ("w_q", "w_k", "w_v", "fc_w", "fc_b", "dim")
-
-    def __init__(self, unit: AttentionParams, leaves: dict, prefix: str):
-        self.w_q = ad.parameter(unit.w_q)
-        self.w_k = ad.parameter(unit.w_k)
-        self.w_v = ad.parameter(unit.w_v)
-        self.fc_w = ad.parameter(unit.fc_w)
-        self.fc_b = ad.parameter(unit.fc_b)
-        self.dim = unit.dim
-        leaves[f"{prefix}.w_q"] = self.w_q
-        leaves[f"{prefix}.w_k"] = self.w_k
-        leaves[f"{prefix}.w_v"] = self.w_v
-        leaves[f"{prefix}.fc_w"] = self.fc_w
-        leaves[f"{prefix}.fc_b"] = self.fc_b
+def params_from_named(named: dict, d: int, depth_self: int, depth_cross: int) -> ModelParams:
+    """Pick every tensor of a (d, depth_self, depth_cross) model out of ``named``."""
+    try:
+        return ModelParams((name, named[name]) for name, _ in
+                           _param_table(d, None, None, depth_self, depth_cross))
+    except KeyError as exc:
+        raise DataError(f"parameter tensor {exc.args[0]!r} missing") from None
 
 
-class LiftedParams:
-    """Tensor-leaved mirror of ModelParams for one backward pass."""
-
-    __slots__ = ("video_proj_w", "video_proj_b", "query_proj_w", "query_proj_b",
-                 "v2v", "q2q", "q2v", "v2q", "fusion_w", "fusion_b",
-                 "proposal_attn", "classifier_w", "classifier_b", "d", "leaves")
-
-    def __init__(self, params: ModelParams):
-        leaves: dict = {}
-        self.video_proj_w = ad.parameter(params.video_proj_w)
-        self.video_proj_b = ad.parameter(params.video_proj_b)
-        self.query_proj_w = ad.parameter(params.query_proj_w)
-        self.query_proj_b = ad.parameter(params.query_proj_b)
-        leaves["video_proj.w"] = self.video_proj_w
-        leaves["video_proj.b"] = self.video_proj_b
-        leaves["query_proj.w"] = self.query_proj_w
-        leaves["query_proj.b"] = self.query_proj_b
-        self.v2v = tuple(_LiftedAttention(u, leaves, f"v2v.{i}") for i, u in enumerate(params.v2v))
-        self.q2q = tuple(_LiftedAttention(u, leaves, f"q2q.{i}") for i, u in enumerate(params.q2q))
-        self.q2v = tuple(_LiftedAttention(u, leaves, f"q2v.{i}") for i, u in enumerate(params.q2v))
-        self.v2q = tuple(_LiftedAttention(u, leaves, f"v2q.{i}") for i, u in enumerate(params.v2q))
-        self.fusion_w = ad.parameter(params.fusion_w)
-        self.fusion_b = ad.parameter(params.fusion_b)
-        leaves["fusion.w"] = self.fusion_w
-        leaves["fusion.b"] = self.fusion_b
-        self.proposal_attn = _LiftedAttention(params.proposal_attn, leaves, "proposal_attn")
-        self.classifier_w = ad.parameter(params.classifier_w)
-        self.classifier_b = ad.parameter(params.classifier_b)
-        leaves["classifier.w"] = self.classifier_w
-        leaves["classifier.b"] = self.classifier_b
-        self.d = params.d
-        self.leaves = leaves
+def lift(params) -> ModelParams:
+    """Gradient leaves for one backward pass, under the same names."""
+    return ModelParams({name: ad.parameter(arr) for name, arr in params.items()})
 
 
-def lift(params: ModelParams) -> LiftedParams:
-    return LiftedParams(params)
+def _unit(p, prefix: str) -> dict:
+    return {k: p[f"{prefix}.{k}"] for k in _ATTENTION_KEYS}
 
 
-def _as_lifted(params) -> LiftedParams:
-    return params if isinstance(params, LiftedParams) else LiftedParams(params)
+def _stack(p, stack: str) -> list:
+    units = []
+    while f"{stack}.{len(units)}.w_q" in p:
+        units.append(_unit(p, f"{stack}.{len(units)}"))
+    return units
 
 
 @dataclass
@@ -205,36 +126,37 @@ class LocalizeResult:
     proposal_index: int
 
 
-def _attend(target: Tensor, reference: Tensor, unit, mask=None) -> tuple:
+def _attend(target, reference, unit, mask=None) -> tuple:
     """One attention unit on the tape; returns (output, weights) tensors.
 
-    Logits are target . W_q^T . W_k . reference^T scaled by 1/sqrt(dim);
-    masked reference columns get exactly zero weight; the output is
-    FC(target + A . reference . W_v^T).
+    ``unit`` maps the five keys w_q, w_k, w_v, fc_w, fc_b to arrays or
+    leaves. Logits are target . W_q^T . W_k . reference^T scaled by
+    1/sqrt(dim); masked reference columns get exactly zero weight; the
+    output is FC(target + A . reference . W_v^T).
     """
-    logits = ad.matmul(ad.matmul(ad.matmul(target, ad.transpose(unit.w_q)), unit.w_k),
+    logits = ad.matmul(ad.matmul(ad.matmul(target, ad.transpose(unit["w_q"])), unit["w_k"]),
                        ad.transpose(reference))
-    weights = ad.softmax_rows(ad.scale(logits, 1.0 / np.sqrt(unit.dim)), mask)
-    context = ad.matmul(weights, ad.matmul(reference, ad.transpose(unit.w_v)))
-    out = ad.add(ad.matmul(ad.add(target, context), ad.transpose(unit.fc_w)), unit.fc_b)
+    weights = ad.softmax_rows(ad.scale(logits, 1.0 / np.sqrt(unit["w_q"].shape[0])), mask)
+    context = ad.matmul(weights, ad.matmul(reference, ad.transpose(unit["w_v"])))
+    out = ad.add(ad.matmul(ad.add(target, context), ad.transpose(unit["fc_w"])), unit["fc_b"])
     return out, weights
 
 
-def attention_unit(target: np.ndarray, reference: np.ndarray, params: AttentionParams,
+def attention_unit(target: np.ndarray, reference: np.ndarray, params: dict,
                    reference_mask=None) -> AttentionResult:
     """Attend ``target`` rows over ``reference`` rows (numpy in, numpy out)."""
     target = np.asarray(target, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
-    if target.shape[1] != params.dim or reference.shape[1] != params.dim:
-        raise ValueError(f"feature width must be {params.dim}")
+    dim = params["w_q"].shape[0]
+    if target.shape[1] != dim or reference.shape[1] != dim:
+        raise ValueError(f"feature width must be {dim}")
     if reference_mask is not None and len(reference_mask) != reference.shape[0]:
         raise ValueError("mask length must match reference rows")
-    lifted = _LiftedAttention(params, {}, "_")
-    out, weights = _attend(ad.constant(target), ad.constant(reference), lifted, reference_mask)
+    out, weights = _attend(target, reference, params, reference_mask)
     return AttentionResult(out.value, weights.value)
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _affine(x, w, b) -> Tensor:
     return ad.add(ad.matmul(x, ad.transpose(w)), b)
 
 
@@ -246,33 +168,33 @@ def _tokens_of(query):
     return query.tokens if hasattr(query, "tokens") else query
 
 
-def _encode_t(clips, query_tokens, p: LiftedParams, grid: ProposalGrid):
-    """Tape-level pipeline up to cross-attended proposal and word features."""
+def _encode_t(video, query, p, grid_config: GridConfig):
+    """Tape-level pipeline up to cross-attended proposal and word features;
+    returns (proposal tensor, word tensor, proposal grid)."""
+    clips = _clips_of(video)
+    grid = grid_config.grid_for(clips.l_c)
     mask = None
     if clips.valid_count < clips.l_c:
         mask = np.arange(clips.l_c) < clips.valid_count
-    v = _affine(ad.constant(clips.matrix), p.video_proj_w, p.video_proj_b)
-    for unit in p.v2v:
+    v = _affine(clips.matrix, p["video_proj.w"], p["video_proj.b"])
+    for unit in _stack(p, "v2v"):
         v, _ = _attend(v, v, unit, mask)
-    q = _affine(ad.constant(query_tokens.matrix), p.query_proj_w, p.query_proj_b)
-    for unit in p.q2q:
+    q = _affine(_tokens_of(query).matrix, p["query_proj.w"], p["query_proj.b"])
+    for unit in _stack(p, "q2q"):
         q, _ = _attend(q, q, unit)
-    props = ad.segment_max(v, [(s.start, s.end) for s in grid.segments])
+    props = ad.segment_max(v, np.stack((grid.starts, grid.ends), axis=1))
     # Cross-attention updates both sides simultaneously from the pre-update
     # features, one layer at a time.
-    for qv_unit, vq_unit in zip(p.q2v, p.v2q):
+    for qv_unit, vq_unit in zip(_stack(p, "q2v"), _stack(p, "v2q")):
         new_props, _ = _attend(props, q, qv_unit)
         new_q, _ = _attend(q, props, vq_unit)
         props, q = new_props, new_q
-    return props, q
+    return props, q, grid
 
 
 def encode(video, query, params, grid_config: GridConfig):
     """Run the encoder; returns (proposal_feats L_s x D, word_feats L_w x D)."""
-    clips = _clips_of(video)
-    tokens = _tokens_of(query)
-    grid = grid_config.grid_for(clips.l_c)
-    props, q = _encode_t(clips, tokens, _as_lifted(params), grid)
+    props, q, _ = _encode_t(video, query, params, grid_config)
     return props.value, q.value
 
 
@@ -284,56 +206,48 @@ def pool_sentence(word_feats: np.ndarray) -> np.ndarray:
     return word_feats.max(axis=0)
 
 
-def _fuse_rows_t(props: Tensor, sent: Tensor, p: LiftedParams, n_rows: int, d: int) -> Tensor:
+def _fuse_rows_t(props: Tensor, sent: Tensor, p) -> Tensor:
     """Per-proposal fusion with the sentence vector: (S+Q) || S*Q || FC(S||Q)."""
-    q_row = ad.reshape(sent, (1, d))
-    q_mat = ad.add(ad.constant(np.zeros((n_rows, 1))), q_row)
+    n_rows, d = props.shape
+    q_mat = ad.add(ad.constant(np.zeros((n_rows, 1))), ad.reshape(sent, (1, d)))
     both = ad.concat_cols([props, q_mat])
     return ad.concat_cols([
         ad.add(props, q_mat),
         ad.mul(props, q_mat),
-        _affine(both, p.fusion_w, p.fusion_b),
+        _affine(both, p["fusion.w"], p["fusion.b"]),
     ])
 
 
 def fuse(s_vec: np.ndarray, q_vec: np.ndarray, params) -> np.ndarray:
     """Fuse one proposal vector with one sentence vector into a 3D-vector."""
-    p = _as_lifted(params)
     s = np.asarray(s_vec, dtype=np.float64)
     q = np.asarray(q_vec, dtype=np.float64)
     if s.shape != q.shape or s.ndim != 1:
         raise ValueError("fuse expects two equal-length vectors")
-    fused = _fuse_rows_t(ad.constant(s[None, :]), ad.constant(q), p, 1, s.shape[0])
-    return fused.value[0]
+    return _fuse_rows_t(ad.constant(s[None, :]), ad.constant(q), params).value[0]
 
 
-def _score_t(fused: Tensor, p: LiftedParams) -> Tensor:
-    att, _ = _attend(fused, fused, p.proposal_attn)
-    logits = ad.add(ad.matvec(att, p.classifier_w), p.classifier_b)
+def _score_t(fused: Tensor, p) -> Tensor:
+    att, _ = _attend(fused, fused, _unit(p, "proposal_attn"))
+    logits = ad.add(ad.matvec(att, p["classifier.w"]), p["classifier.b"])
     return ad.sigmoid(logits)
 
 
 def score_proposals(fused: np.ndarray, params, grid: ProposalGrid | None = None) -> MatchScores:
     """Self-attend the fused rows, then apply the sigmoid linear classifier."""
-    p = _as_lifted(params)
-    scores = _score_t(ad.constant(np.asarray(fused, dtype=np.float64)), p)
-    return MatchScores(scores.value.copy(), grid, scores)
-
-
-def _match_t(video, query, p: LiftedParams, grid_config: GridConfig) -> MatchScores:
-    clips = _clips_of(video)
-    tokens = _tokens_of(query)
-    grid = grid_config.grid_for(clips.l_c)
-    props, q = _encode_t(clips, tokens, p, grid)
-    sent = ad.max_rows(q)
-    fused = _fuse_rows_t(props, sent, p, len(grid), p.d)
-    scores = _score_t(fused, p)
+    scores = _score_t(ad.constant(np.asarray(fused, dtype=np.float64)), params)
     return MatchScores(scores.value.copy(), grid, scores)
 
 
 def match(video, query, params, grid_config: GridConfig) -> MatchScores:
-    """Proposal-query matching scores for one video-query pair."""
-    return _match_t(video, query, _as_lifted(params), grid_config)
+    """Proposal-query matching scores for one video-query pair.
+
+    ``params`` holds arrays or, for a backward pass, the leaves of ``lift``.
+    """
+    props, q, grid = _encode_t(video, query, params, grid_config)
+    fused = _fuse_rows_t(props, ad.max_rows(q), params)
+    scores = _score_t(fused, params)
+    return MatchScores(scores.value.copy(), grid, scores)
 
 
 def localize(video, query, params, grid_config: GridConfig) -> LocalizeResult:

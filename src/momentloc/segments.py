@@ -165,22 +165,9 @@ def cached_grid(l_c: int, window_sizes, stride: int) -> ProposalGrid:
     return grid
 
 
-def pool_proposal_features(clips: np.ndarray, seg: Segment) -> np.ndarray:
-    """Element-wise max over the clip rows covered by ``seg``."""
-    if not (0 <= seg.start < seg.end <= clips.shape[0]):
-        raise ValueError(f"segment {seg} out of bounds for {clips.shape[0]} clips")
-    return clips[seg.start : seg.end].max(axis=0)
-
-
 def clips_to_seconds(seg, duration: float, l_c: int) -> tuple[float, float]:
     """Map a clip-unit segment to seconds, clamped to [0, duration]."""
     s, e = _bounds(seg)
     start = min(max(s * duration / l_c, 0.0), duration)
     end = min(max(e * duration / l_c, 0.0), duration)
     return (start, end)
-
-
-def in_padded_region(seg, valid_count: int) -> bool:
-    """True when the segment covers no clip backed by real frames."""
-    s, _ = _bounds(seg)
-    return s >= valid_count

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DataError, MomentlocError, TrainingDivergedError
 from .losses import BatchItem, LossConfig, NegativeSample, total_loss
-from .network import AttentionParams, ModelParams, init_params, lift
+from .network import ModelParams, init_params, lift, params_from_named
 from .segments import GridConfig
 
 _CHECKPOINT_MAGIC = b"CRMC"
@@ -208,8 +208,7 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
     l_c = records[0].clips.l_c
     rng = np.random.default_rng(config.seed)
     params = init_params(config.d, d_v, d_t, config.depth_self, config.depth_cross, rng)
-    named = params.named_arrays()
-    adam = Adam(named, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+    adam = Adam(params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
     loss_cfg = config.loss_config()
     batches_per_epoch = math.ceil(len(records) / config.batch_videos)
 
@@ -226,18 +225,20 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch, b, [it.video.id for it in batch])
             ad.backward(breakdown.total)
-            grads = {name: leaf.grad for name, leaf in lifted.leaves.items()}
+            grads = {name: leaf.grad for name, leaf in lifted.items()}
             if config.grad_clip > 0:
                 _clip_grads(grads, config.grad_clip)
-            adam.step(named, grads)
+            adam.step(params, grads)
             sums += (value, breakdown.bce, breakdown.tmp, breakdown.smt)
             if breakdown.order_consistent_fraction is not None:
                 flags.append(breakdown.order_consistent_fraction)
+            # Free this step's tape before the next forward builds another.
+            del breakdown, lifted, grads
         means = [float(x) for x in sums / batches_per_epoch]
         metrics.append(EpochMetrics(epoch, *means))
         order_series.append(sum(flags) / len(flags) if flags else None)
 
-    params32 = _cast_params(params, np.float32)
+    params32 = ModelParams({k: v.astype(np.float32) for k, v in params.items()})
     snapshot = _config_snapshot(config, d_v, d_t, l_c)
     if extra_config:
         snapshot.update(extra_config)
@@ -251,41 +252,9 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
     )
 
 
-def _cast_params(params: ModelParams, dtype) -> ModelParams:
-    named = {k: v.astype(dtype) for k, v in params.named_arrays().items()}
-    return params_from_named(named, params.d, len(params.v2v), len(params.q2v))
-
-
-def params_from_named(named: dict, d: int, depth_self: int, depth_cross: int) -> ModelParams:
-    """Rebuild a ModelParams from its canonical name -> array dict."""
-
-    def attn(prefix, dim):
-        return AttentionParams(
-            w_q=named[f"{prefix}.w_q"], w_k=named[f"{prefix}.w_k"],
-            w_v=named[f"{prefix}.w_v"], fc_w=named[f"{prefix}.fc_w"],
-            fc_b=named[f"{prefix}.fc_b"], dim=dim,
-        )
-
-    try:
-        return ModelParams(
-            video_proj_w=named["video_proj.w"], video_proj_b=named["video_proj.b"],
-            query_proj_w=named["query_proj.w"], query_proj_b=named["query_proj.b"],
-            v2v=tuple(attn(f"v2v.{i}", d) for i in range(depth_self)),
-            q2q=tuple(attn(f"q2q.{i}", d) for i in range(depth_self)),
-            q2v=tuple(attn(f"q2v.{i}", d) for i in range(depth_cross)),
-            v2q=tuple(attn(f"v2q.{i}", d) for i in range(depth_cross)),
-            fusion_w=named["fusion.w"], fusion_b=named["fusion.b"],
-            proposal_attn=attn("proposal_attn", 3 * d),
-            classifier_w=named["classifier.w"], classifier_b=named["classifier.b"],
-            d=d,
-        )
-    except KeyError as exc:
-        raise DataError(f"parameter tensor {exc.args[0]!r} missing") from None
-
-
 def save_checkpoint(ckpt: Checkpoint, path):
     """Versioned container: JSON manifest + named float32 tensors."""
-    named = ckpt.params.named_arrays()
+    params = ckpt.params
     manifest = {
         "format_version": _CHECKPOINT_VERSION,
         "config": ckpt.config,
@@ -293,7 +262,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
         "rng_digest": ckpt.rng_digest,
         "metrics_csv": ckpt.metrics_csv,
         "order_consistency": ckpt.order_consistency,
-        "tensors": [{"name": k, "shape": list(named[k].shape)} for k in sorted(named)],
+        "tensors": [{"name": k, "shape": list(params[k].shape)} for k in sorted(params)],
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
@@ -301,33 +270,39 @@ def save_checkpoint(ckpt: Checkpoint, path):
         fh.write(bytes([_CHECKPOINT_VERSION]))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name in sorted(named):
-            fh.write(np.ascontiguousarray(named[name], dtype="<f4").tobytes())
+        for name in sorted(params):
+            fh.write(np.ascontiguousarray(params[name], dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a truncated or malformed file raises DataError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
+    if len(blob) < 9:
+        raise DataError(f"{path}: truncated checkpoint header")
     if blob[4] != _CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {blob[4]}")
     (mlen,) = struct.unpack("<I", blob[5:9])
-    manifest = json.loads(blob[9 : 9 + mlen].decode())
-    config = manifest["config"]
+    try:
+        manifest = json.loads(blob[9 : 9 + mlen].decode())
+        config = manifest["config"]
+        dims = (config["d"], config["depth_self"], config["depth_cross"])
+        tensors = [(e["name"], tuple(int(n) for n in e["shape"])) for e in manifest["tensors"]]
+        fields = [manifest[k] for k in ("epoch", "rng_digest", "metrics_csv", "order_consistency")]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
     offset = 9 + mlen
+    expected = offset + 4 * sum(math.prod(shape) for _, shape in tensors)
+    if expected != len(blob):
+        raise DataError(f"{path}: checkpoint has {len(blob)} bytes, its manifest {expected}")
     named = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", offset=offset, count=count)
-        named[entry["name"]] = arr.reshape(shape).copy()
+    for name, shape in tensors:
+        count = math.prod(shape)
+        named[name] = np.frombuffer(blob, "<f4", count, offset).reshape(shape).copy()
         offset += 4 * count
-    if offset != len(blob):
-        raise DataError(f"{path}: trailing bytes in checkpoint")
-    params = params_from_named(named, config["d"], config["depth_self"], config["depth_cross"])
-    return Checkpoint(params, config, manifest["epoch"], manifest["rng_digest"],
-                      manifest["metrics_csv"], manifest["order_consistency"])
+    return Checkpoint(params_from_named(named, *dims), config, *fields)
 
 
 def default_gradient_check(seed=0, *, use_bce=True, use_tmp=True, use_smt=True,
@@ -371,11 +346,10 @@ def gradient_check(batch, params: ModelParams, loss_cfg: LossConfig, *, step=1e-
     lifted = lift(params)
     breakdown = total_loss(batch, lifted, loss_cfg)
     ad.backward(breakdown.total)
-    analytic = {name: leaf.grad for name, leaf in lifted.leaves.items()}
+    analytic = {name: leaf.grad for name, leaf in lifted.items()}
 
-    named = params.named_arrays()
-    names = sorted(named)
-    sizes = [named[n].size for n in names]
+    names = sorted(params)
+    sizes = [params[n].size for n in names]
     total = sum(sizes)
     rng = np.random.default_rng(seed)
     take = min(num_coords, total)
@@ -391,7 +365,7 @@ def gradient_check(batch, params: ModelParams, loss_cfg: LossConfig, *, step=1e-
         tensor_i = int(np.searchsorted(bounds, flat, side="right") - 1)
         name = names[tensor_i]
         idx = int(flat - bounds[tensor_i])
-        arr = named[name]
+        arr = params[name]
         orig = arr.flat[idx]
         arr.flat[idx] = orig + step
         f_plus = loss_value()

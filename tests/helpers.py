@@ -122,15 +122,15 @@ def scalar_attention_oracle(target, reference, params, mask=None):
     """
     import math
 
-    lt, lr, dim = len(target), len(reference), params.dim
+    lt, lr, dim = len(target), len(reference), len(params["w_q"])
     keep = [True] * lr if mask is None else [bool(m) for m in mask]
     logits = [[0.0] * lr for _ in range(lt)]
     for i in range(lt):
         for j in range(lr):
             acc = 0.0
             for a in range(dim):
-                u = sum(target[i][b] * params.w_q[a][b] for b in range(dim))
-                k = sum(params.w_k[a][c] * reference[j][c] for c in range(dim))
+                u = sum(target[i][b] * params["w_q"][a][b] for b in range(dim))
+                k = sum(params["w_k"][a][c] * reference[j][c] for c in range(dim))
                 acc += u * k
             logits[i][j] = acc / math.sqrt(dim)
     weights = [[0.0] * lr for _ in range(lt)]
@@ -147,9 +147,9 @@ def scalar_attention_oracle(target, reference, params, mask=None):
             if weights[i][j] == 0.0:
                 continue
             for a in range(dim):
-                va = sum(reference[j][c] * params.w_v[a][c] for c in range(dim))
+                va = sum(reference[j][c] * params["w_v"][a][c] for c in range(dim))
                 ctx[a] += weights[i][j] * va
         pre = [target[i][a] + ctx[a] for a in range(dim)]
         for a in range(dim):
-            out[i][a] = params.fc_b[a] + sum(pre[b] * params.fc_w[a][b] for b in range(dim))
+            out[i][a] = params["fc_b"][a] + sum(pre[b] * params["fc_w"][a][b] for b in range(dim))
     return np.array(out), np.array(weights)

@@ -8,7 +8,10 @@ the full gate on a laptop CPU.
 """
 
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,26 +71,39 @@ ARMS = {
 }
 
 
+def _trend_run(arm, seed):
+    """One of the nine trend runs; returns (report, seconds)."""
+    use_bce, use_tmp, use_smt = ARMS[arm]
+    records = generate_corpus(SynthConfig()).records
+    started = time.perf_counter()
+    config = TrainConfig(
+        d=16, grid=SYNTH_GRID, batch_videos=32, epochs=30,
+        learning_rate=1e-3, seed=seed,
+        use_bce=use_bce, use_tmp=use_tmp, use_smt=use_smt,
+    )
+    ckpt = train(filter_split(records, "train"), config, {"pool_span": 1})
+    report = evaluate(records, ckpt, (0.1, 0.3, 0.5), "test", 0.5)
+    return report, time.perf_counter() - started
+
+
 @pytest.fixture(scope="module")
 def trend():
-    """Nine training runs on the default corpus, evaluated on its test split."""
+    """Nine training runs on the default corpus, evaluated on its test split.
+
+    The runs are independent and seeded, so they are spread over at most two
+    worker processes, the slowest arm first; ``timings`` sums each arm's run
+    times.
+    """
     corpus = generate_corpus(SynthConfig())
-    records = corpus.records
-    test_records = filter_split(records, "test")
+    test_records = filter_split(corpus.records, "test")
     chance = chance_baseline(test_records, (0.5,), trials=256, seed=0)[0.5]
-    reports = {}
-    timings = {}
-    for arm, (use_bce, use_tmp, use_smt) in ARMS.items():
-        started = time.perf_counter()
-        for seed in SEEDS:
-            config = TrainConfig(
-                d=16, grid=SYNTH_GRID, batch_videos=32, epochs=30,
-                learning_rate=1e-3, seed=seed,
-                use_bce=use_bce, use_tmp=use_tmp, use_smt=use_smt,
-            )
-            ckpt = train(filter_split(records, "train"), config, {"pool_span": 1})
-            reports[arm, seed] = evaluate(records, ckpt, (0.1, 0.3, 0.5), "test", 0.5)
-        timings[arm] = time.perf_counter() - started
+    keys = [(arm, seed) for arm in reversed(ARMS) for seed in SEEDS]
+    workers = min(2, os.cpu_count() or 1)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        results = dict(zip(keys, pool.map(_trend_run, *zip(*keys))))
+    reports = {key: report for key, (report, _) in results.items()}
+    timings = {arm: sum(results[arm, s][1] for s in SEEDS) for arm in ARMS}
     return SimpleNamespace(reports=reports, chance=chance, timings=timings)
 
 
@@ -115,8 +131,8 @@ class TestUnitOracles:
 
         # smt: all scores forced to 0.5 -> -log(0.5) - log(0.5)
         flat = tiny_params(2, 2, 2)
-        flat.classifier_w = np.zeros(6)
-        flat.classifier_b = np.zeros(())
+        flat["classifier.w"] = np.zeros(6)
+        flat["classifier.b"] = np.zeros(())
         q = token_seq(np.array([1.0, -5.0]))
         loss = float(smt_loss(event_video(), q, q, (Segment(0, 2), Segment(2, 4)),
                               flat, 0.5, LOSS_GRID))

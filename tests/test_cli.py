@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import momentloc
 
 from momentloc import (
     Checkpoint,
@@ -47,6 +53,13 @@ tokens_min = 2
 tokens_max = 3
 seed = 0
 """
+
+
+def run_cli(*argv):
+    """``python -m momentloc.cli`` in a fresh interpreter, so a traceback shows."""
+    env = dict(os.environ, PYTHONPATH=str(Path(momentloc.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "momentloc.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def ini(tmp_path, text, name="cfg.ini"):
@@ -244,6 +257,22 @@ class TestEvalCommand:
         assert code == 2
         capsys.readouterr()
 
+    def test_empty_split_exits_two(self, workdir):
+        # the synthetic corpus has train and test records only
+        proc = run_cli("eval", workdir["ckpt"], workdir["data"], "--split", "val")
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "'val'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_truncated_checkpoint_exits_two(self, workdir, tmp_path):
+        raw = Path(workdir["ckpt"]).read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(raw[: len(raw) // 2])
+        proc = run_cli("eval", str(cut), workdir["data"])
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 def write_predictions(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
@@ -356,14 +385,14 @@ def build_oracle_checkpoint(path):
     argmax is therefore exactly the annotated window.
     """
     params = tiny_params(3, 3, 3, depth_self=0, depth_cross=0)
-    params.video_proj_w = np.eye(3)
-    params.query_proj_w = np.eye(3)
-    params.fusion_w = np.zeros((3, 6))
-    params.proposal_attn.w_v = np.zeros((9, 9))
-    params.proposal_attn.fc_w = np.eye(9)
-    params.proposal_attn.fc_b = np.zeros(9)
-    params.classifier_w = np.concatenate([np.zeros(3), np.ones(3), np.zeros(3)])
-    params.classifier_b = np.zeros(())
+    params["video_proj.w"] = np.eye(3)
+    params["query_proj.w"] = np.eye(3)
+    params["fusion.w"] = np.zeros((3, 6))
+    params["proposal_attn.w_v"] = np.zeros((9, 9))
+    params["proposal_attn.fc_w"] = np.eye(9)
+    params["proposal_attn.fc_b"] = np.zeros(9)
+    params["classifier.w"] = np.concatenate([np.zeros(3), np.ones(3), np.zeros(3)])
+    params["classifier.b"] = np.zeros(())
     ckpt = Checkpoint(params, oracle_checkpoint_config(), epoch=0, rng_digest="",
                       metrics_csv="epoch,loss,bce,tmp,smt\n", order_consistency=[])
     save_checkpoint(ckpt, path)

@@ -15,7 +15,6 @@ from momentloc import (
     count_pairs,
     evaluate,
     generate_corpus,
-    hull_consistency_from_predictions,
     recall_at_iou,
     recall_from_predictions,
     report_to_json,
@@ -105,6 +104,11 @@ class TestTemporalFromPredictions:
         assert temporal_consistency_from_predictions([rec], {("v", 0): (0.0, 1.0)}) is None
 
 
+def hull_consistency(recs, preds):
+    gt_map = {r.id: [s.gt_segment for s in r.paragraph] for r in recs}
+    return analyze_predictions(preds, gt_map)["semantic_consistency"]
+
+
 class TestHullConsistencyFromPredictions:
     def test_four_pair_hand_count(self):
         # hull IoUs vs ground-truth hull (0, 20): 0.9, 0.6, 0.4, 0.2
@@ -115,17 +119,17 @@ class TestHullConsistencyFromPredictions:
             recs.append(gt_record(vid, [(0, 10), (10, 20)]))
             preds[(vid, 0)] = (lo, (lo + hi) / 2)
             preds[(vid, 1)] = ((lo + hi) / 2, hi)
-        assert hull_consistency_from_predictions(recs, preds) == 0.5
+        assert hull_consistency(recs, preds) == 0.5
 
     def test_exact_hull_counts(self):
         rec = gt_record("v", [(0, 10), (10, 20)])
         preds = {("v", 0): (0.0, 10.0), ("v", 1): (10.0, 20.0)}
-        assert hull_consistency_from_predictions([rec], preds) == 1.0
+        assert hull_consistency([rec], preds) == 1.0
 
     def test_boundary_is_strict(self):
         rec = gt_record("v", [(0, 10), (10, 20)])
         preds = {("v", 0): (0.0, 5.0), ("v", 1): (5.0, 10.0)}  # hull IoU exactly 0.5
-        assert hull_consistency_from_predictions([rec], preds) == 0.0
+        assert hull_consistency([rec], preds) == 0.0
 
 
 class TestAnalyzePredictions:

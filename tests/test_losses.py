@@ -232,14 +232,14 @@ def oracle_params():
     sigmoid(-200).
     """
     params = tiny_params(2, 2, 2, depth_self=0, depth_cross=0)
-    params.video_proj_w = np.eye(2)
-    params.query_proj_w = np.eye(2)
-    params.fusion_w = np.zeros((2, 4))
-    params.proposal_attn.w_v = np.zeros((6, 6))
-    params.proposal_attn.fc_w = np.eye(6)
-    params.proposal_attn.fc_b = np.zeros(6)
-    params.classifier_w = np.array([0.0, 0.0, 50.0, 50.0, 0.0, 0.0])
-    params.classifier_b = np.zeros(())
+    params["video_proj.w"] = np.eye(2)
+    params["query_proj.w"] = np.eye(2)
+    params["fusion.w"] = np.zeros((2, 4))
+    params["proposal_attn.w_v"] = np.zeros((6, 6))
+    params["proposal_attn.fc_w"] = np.eye(6)
+    params["proposal_attn.fc_b"] = np.zeros(6)
+    params["classifier.w"] = np.array([0.0, 0.0, 50.0, 50.0, 0.0, 0.0])
+    params["classifier.b"] = np.zeros(())
     return params
 
 
@@ -260,8 +260,8 @@ class TestSmtLoss:
 
     def test_all_half_scores(self):
         params = tiny_params(2, 2, 2)
-        params.classifier_w = np.zeros(6)
-        params.classifier_b = np.zeros(())
+        params["classifier.w"] = np.zeros(6)
+        params["classifier.b"] = np.zeros(())
         video = event_video()
         q = token_seq(np.array([1.0, -5.0]))
         pair = (Segment(0, 2), Segment(2, 4))  # hull (0,4) sits on the grid

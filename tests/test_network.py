@@ -1,9 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from helpers import make_record, scalar_attention_oracle, tiny_params, token_seq
 from momentloc import (
-    AttentionParams,
     GridConfig,
     attention_unit,
     clips_to_seconds,
@@ -21,15 +22,25 @@ from momentloc import autodiff as ad
 GRID = GridConfig((2, 4), 2)
 
 
-def rand_attention(rng, dim) -> AttentionParams:
-    return AttentionParams(
+def rand_attention(rng, dim) -> dict:
+    return dict(
         w_q=rng.normal(size=(dim, dim)),
         w_k=rng.normal(size=(dim, dim)),
         w_v=rng.normal(size=(dim, dim)),
         fc_w=rng.normal(size=(dim, dim)),
         fc_b=rng.normal(size=dim),
-        dim=dim,
     )
+
+
+def unit(params, prefix) -> dict:
+    """The five tensors of one attention unit, keyed w_q ... fc_b."""
+    return {k: params[f"{prefix}.{k}"] for k in ("w_q", "w_k", "w_v", "fc_w", "fc_b")}
+
+
+def stack(params, name) -> list:
+    """The attention units ``name.0``, ``name.1``, ... of one stack."""
+    depth = sum(1 for k in params if k.startswith(f"{name}.") and k.endswith(".w_q"))
+    return [unit(params, f"{name}.{i}") for i in range(depth)]
 
 
 def rig(d=4, d_v=3, d_t=2, l_c=8, l_w=3, valid=None, seed=0, **depths):
@@ -43,6 +54,30 @@ def rig(d=4, d_v=3, d_t=2, l_c=8, l_w=3, valid=None, seed=0, **depths):
     params = init_params(d, d_v, d_t, depths.get("depth_self", 1),
                          depths.get("depth_cross", 1), rng)
     return video, query, params
+
+
+def _unit_names(prefix, dim):
+    return [(f"{prefix}.{k}", (dim,) if k == "fc_b" else (dim, dim))
+            for k in ("w_q", "w_k", "w_v", "fc_w", "fc_b")]
+
+
+class TestInitParams:
+    def test_names_shapes_order_and_values_pinned(self):
+        params = init_params(4, 3, 2, 2, 1, np.random.default_rng(0))
+        want = [("video_proj.w", (4, 3)), ("video_proj.b", (4,)),
+                ("query_proj.w", (4, 2)), ("query_proj.b", (4,))]
+        for prefix in ("v2v.0", "v2v.1", "q2q.0", "q2q.1", "q2v.0", "v2q.0"):
+            want += _unit_names(prefix, 4)
+        want += [("fusion.w", (4, 8)), ("fusion.b", (4,))]
+        want += _unit_names("proposal_attn", 12)
+        want += [("classifier.w", (12,)), ("classifier.b", ())]
+        assert [(name, arr.shape) for name, arr in params.items()] == want
+        digest = hashlib.sha256()
+        for arr in params.values():
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        # captured from the seeded draws before parameters became one mapping
+        assert digest.hexdigest() == (
+            "34e5a8f76b201442290f73de4b2552f19530262c237780c4d8ebd2ba1b330bf6")
 
 
 class TestAttentionUnit:
@@ -69,8 +104,8 @@ class TestAttentionUnit:
 
     def test_zero_query_weights_average_references(self):
         dim = 3
-        params = AttentionParams(np.zeros((dim, dim)), np.eye(dim), np.eye(dim),
-                                 np.eye(dim), np.zeros(dim), dim)
+        params = dict(w_q=np.zeros((dim, dim)), w_k=np.eye(dim), w_v=np.eye(dim),
+                      fc_w=np.eye(dim), fc_b=np.zeros(dim))
         target = np.array([[1.0, 2.0, 3.0]])
         reference = np.array([[4.0, 0.0, 0.0], [0.0, 6.0, 0.0]])
         got = attention_unit(target, reference, params)
@@ -84,7 +119,7 @@ class TestAttentionUnit:
         reference = rng.normal(size=(1, 4))
         got = attention_unit(target, reference, params)
         assert np.array_equal(got.weights, np.ones((5, 1)))
-        want = (target + reference @ params.w_v.T) @ params.fc_w.T + params.fc_b
+        want = (target + reference @ params["w_v"].T) @ params["fc_w"].T + params["fc_b"]
         assert np.allclose(got.output, want, atol=1e-9)
 
     def test_output_shape_matches_target(self):
@@ -117,14 +152,14 @@ def numpy_encode(video, query, params, grid):
     mask = None
     if clips.valid_count < clips.l_c:
         mask = np.arange(clips.l_c) < clips.valid_count
-    v = clips.matrix @ params.video_proj_w.T + params.video_proj_b
-    for unit in params.v2v:
-        v = attention_unit(v, v, unit, mask).output
-    q = query.matrix @ params.query_proj_w.T + params.query_proj_b
-    for unit in params.q2q:
-        q = attention_unit(q, q, unit).output
+    v = clips.matrix @ params["video_proj.w"].T + params["video_proj.b"]
+    for u in stack(params, "v2v"):
+        v = attention_unit(v, v, u, mask).output
+    q = query.matrix @ params["query_proj.w"].T + params["query_proj.b"]
+    for u in stack(params, "q2q"):
+        q = attention_unit(q, q, u).output
     props = np.stack([v[s.start:s.end].max(axis=0) for s in grid.segments])
-    for qv, vq in zip(params.q2v, params.v2q):
+    for qv, vq in zip(stack(params, "q2v"), stack(params, "v2q")):
         props, q = attention_unit(props, q, qv).output, attention_unit(q, props, vq).output
     return props, q
 
@@ -136,11 +171,11 @@ def numpy_match(video, query, params, grid_config):
     fused = np.hstack([
         props + sent,
         props * sent,
-        np.hstack([props, np.tile(sent, (len(props), 1))]) @ params.fusion_w.T
-        + params.fusion_b,
+        np.hstack([props, np.tile(sent, (len(props), 1))]) @ params["fusion.w"].T
+        + params["fusion.b"],
     ])
-    att = attention_unit(fused, fused, params.proposal_attn).output
-    return 1.0 / (1.0 + np.exp(-(att @ params.classifier_w + params.classifier_b)))
+    att = attention_unit(fused, fused, unit(params, "proposal_attn")).output
+    return 1.0 / (1.0 + np.exp(-(att @ params["classifier.w"] + params["classifier.b"])))
 
 
 class TestEncode:
@@ -153,11 +188,11 @@ class TestEncode:
     def test_depth_zero_is_pooled_projection(self):
         video, query, params = rig(depth_self=0, depth_cross=0)
         props, words = encode(video, query, params, GRID)
-        v = video.clips.matrix @ params.video_proj_w.T + params.video_proj_b
+        v = video.clips.matrix @ params["video_proj.w"].T + params["video_proj.b"]
         grid = GRID.grid_for(8)
         want = np.stack([v[s.start:s.end].max(axis=0) for s in grid.segments])
         assert np.array_equal(props, want)
-        assert np.array_equal(words, query.matrix @ params.query_proj_w.T + params.query_proj_b)
+        assert np.array_equal(words, query.matrix @ params["query_proj.w"].T + params["query_proj.b"])
 
     def test_depth_one_composes_unit_ops(self):
         video, query, params = rig(seed=11)
@@ -205,7 +240,7 @@ class TestFuse:
         assert out.shape == (9,)
         assert np.allclose(out[:3], s + q, atol=1e-12)
         assert np.allclose(out[3:6], s * q, atol=1e-12)
-        want_fc = params.fusion_w @ np.concatenate([s, q]) + params.fusion_b
+        want_fc = params["fusion.w"] @ np.concatenate([s, q]) + params["fusion.b"]
         assert np.allclose(out[6:], want_fc, atol=1e-12)
 
     def test_width_256_gives_768(self):
@@ -222,24 +257,24 @@ class TestFuse:
 class TestScoreProposals:
     def test_zero_classifier_scores_half(self):
         params = tiny_params(2, 2, 2)
-        params.classifier_w = np.zeros(6)
-        params.classifier_b = np.zeros(())
+        params["classifier.w"] = np.zeros(6)
+        params["classifier.b"] = np.zeros(())
         fused = np.random.default_rng(11).normal(size=(5, 6))
         ms = score_proposals(fused, params)
         assert np.array_equal(ms.scores, np.full(5, 0.5))
 
     def test_large_bias_saturates(self):
         params = tiny_params(2, 2, 2)
-        params.classifier_w = np.zeros(6)
-        params.classifier_b = np.array(25.0)
+        params["classifier.w"] = np.zeros(6)
+        params["classifier.b"] = np.array(25.0)
         fused = np.random.default_rng(12).normal(size=(4, 6))
         assert np.all(np.abs(score_proposals(fused, params).scores - 1.0) <= 1e-10)
 
     def test_three_proposal_scalar_oracle(self):
         params = tiny_params(2, 2, 2, seed=13)
         fused = np.random.default_rng(13).normal(size=(3, 6))
-        att, _ = scalar_attention_oracle(fused, fused, params.proposal_attn)
-        want = 1.0 / (1.0 + np.exp(-(att @ params.classifier_w + params.classifier_b)))
+        att, _ = scalar_attention_oracle(fused, fused, unit(params, "proposal_attn"))
+        want = 1.0 / (1.0 + np.exp(-(att @ params["classifier.w"] + params["classifier.b"])))
         assert np.allclose(score_proposals(fused, params).scores, want, atol=1e-9)
 
     def test_scores_strictly_inside_unit_interval(self):
@@ -287,8 +322,8 @@ class TestLocalize:
 
     def test_all_tied_picks_earliest_shortest(self):
         video, query, params = rig(seed=20)
-        params.classifier_w = np.zeros(12)
-        params.classifier_b = np.zeros(())
+        params["classifier.w"] = np.zeros(12)
+        params["classifier.b"] = np.zeros(())
         got = localize(video, query, params, GRID)
         grid = GRID.grid_for(8)
         starts_lengths = [(s.start, s.end - s.start) for s in grid.segments]

@@ -10,10 +10,8 @@ from momentloc import (
     clips_to_seconds,
     generate_proposals,
     hull,
-    in_padded_region,
     iou,
     order_relation,
-    pool_proposal_features,
     query_order,
 )
 
@@ -174,28 +172,6 @@ class TestGenerateProposals:
         assert np.allclose(got, expect, atol=1e-12)
 
 
-class TestPooling:
-    def test_single_clip_segment(self):
-        clips = np.arange(12.0).reshape(6, 2)
-        assert np.array_equal(pool_proposal_features(clips, Segment(3, 4)), clips[3])
-
-    def test_all_zero(self):
-        clips = np.zeros((5, 3))
-        assert np.array_equal(pool_proposal_features(clips, Segment(1, 4)), np.zeros(3))
-
-    def test_random_against_direct_scan(self):
-        rng = np.random.default_rng(2)
-        clips = rng.normal(size=(6, 3))
-        got = pool_proposal_features(clips, Segment(1, 4))
-        expect = np.max(clips[1:4], axis=0)
-        assert np.array_equal(got, expect)
-
-    def test_out_of_bounds(self):
-        clips = np.zeros((4, 2))
-        with pytest.raises(ValueError):
-            pool_proposal_features(clips, Segment(2, 6))
-
-
 class TestClipsToSeconds:
     def test_proportional(self):
         assert clips_to_seconds(Segment(0, 8), 64.0, 128) == (0.0, 4.0)
@@ -206,8 +182,6 @@ class TestClipsToSeconds:
     def test_padded_region_example(self):
         seg = Segment(96, 128)
         assert clips_to_seconds(seg, 30.0, 128) == (22.5, 30.0)
-        assert in_padded_region(seg, 64)
-        assert not in_padded_region(Segment(0, 64), 64)
 
     def test_clamped_to_duration(self):
         start, end = clips_to_seconds(Segment(0, 10), 7.5, 10)

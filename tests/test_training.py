@@ -1,6 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 from scipy import stats
+
+import momentloc.training as training
 
 from helpers import make_record
 from momentloc import (
@@ -24,6 +28,7 @@ from momentloc import (
     save_checkpoint,
     train,
 )
+from momentloc import autodiff as ad
 
 TINY_GRID = GridConfig((8, 16), 8)
 
@@ -169,7 +174,7 @@ class TestTrain:
         a = train(recs, tiny_train_config())
         b = train(recs, tiny_train_config(seed=1))
         assert a.rng_digest != b.rng_digest
-        assert not np.array_equal(a.params.classifier_w, b.params.classifier_w)
+        assert not np.array_equal(a.params["classifier.w"], b.params["classifier.w"])
 
     def test_bce_loss_descends(self):
         recs = tiny_corpus(8, seed=2)
@@ -233,6 +238,25 @@ class TestTrain:
         assert ckpt.config["d_v"] == 8 and ckpt.config["l_c"] == 16
         assert grid_from_snapshot(ckpt.config) == TINY_GRID
 
+    def test_previous_tape_freed_before_next_forward(self, monkeypatch):
+        def live_tape_nodes():
+            return sum(1 for o in gc.get_objects()
+                       if isinstance(o, ad.Tensor) and o._backward is not None)
+
+        counts = []
+
+        def counting_total_loss(*args, **kwargs):
+            counts.append(live_tape_nodes())
+            return total_loss(*args, **kwargs)
+
+        total_loss = training.total_loss
+        monkeypatch.setattr(training, "total_loss", counting_total_loss)
+        gc.collect()
+        before = live_tape_nodes()
+        train(tiny_corpus(4), tiny_train_config(d=8, epochs=2))
+        assert len(counts) == 4
+        assert counts == [before] * 4
+
     def test_checkpoint_params_are_float32(self):
         recs = tiny_corpus(4)
         ckpt = train(recs, tiny_train_config())
@@ -282,6 +306,16 @@ class TestCheckpointIO:
         p.write_bytes(p.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(DataError):
             load_checkpoint(p)
+
+    def test_every_truncation_raises_data_error(self, tmp_path):
+        p = tmp_path / "model.crmc"
+        save_checkpoint(train(tiny_corpus(4), tiny_train_config(d=4, epochs=1)), p)
+        raw = p.read_bytes()
+        cut = tmp_path / "cut.crmc"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(DataError):
+                load_checkpoint(cut)
 
     def test_missing_tensor_named(self):
         named = self.make().params.named_arrays()
