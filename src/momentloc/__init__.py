@@ -45,12 +45,10 @@ from .evaluation import (
     count_pairs,
     evaluate,
     predict_sentences,
-    recall_at_iou,
     recall_from_predictions,
     report_to_json,
     report_to_table,
     semantic_consistency,
-    temporal_consistency,
     temporal_consistency_from_predictions,
 )
 from .losses import (

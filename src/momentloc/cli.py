@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, fields
 
 from .config import default_run_config, load_run_config
 from .data import DataConfig, filter_split, load_corpus, load_embeddings, read_annotations
@@ -30,7 +31,7 @@ from .errors import (
     PredictionsMismatchError,
     TrainingDivergedError,
 )
-from .evaluation import analyze_predictions, evaluate, report_to_json, report_to_table
+from .evaluation import _fmt, analyze_predictions, evaluate, report_to_json, report_to_table
 from .segments import Segment
 from .synthetic import emit_corpus, generate_corpus
 from .training import load_checkpoint, save_checkpoint, train
@@ -85,11 +86,7 @@ def cmd_train(args) -> int:
     if not train_records:
         raise DataError("no records in the train split")
     train_config = run.train_config(loss=args.loss, seed=args.seed)
-    extra = {
-        "pool_span": data_config.pool_span,
-        "max_sentence_len": data_config.max_sentence_len,
-    }
-    ckpt = train(train_records, train_config, extra)
+    ckpt = train(train_records, train_config, asdict(data_config))
     save_checkpoint(ckpt, args.out)
     metrics_path = args.metrics if args.metrics else args.out + ".metrics.csv"
     with open(metrics_path, "w", encoding="utf-8") as fh:
@@ -114,11 +111,8 @@ def _parse_thresholds(raw: str) -> tuple:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    data_config = DataConfig(
-        l_c=ckpt.config["l_c"],
-        pool_span=ckpt.config.get("pool_span", 5),
-        max_sentence_len=ckpt.config.get("max_sentence_len", 20),
-    )
+    data_config = DataConfig(**{f.name: ckpt.config.get(f.name, f.default)
+                                for f in fields(DataConfig)})
     records, _ = _load_data_dir(args.data_dir, data_config)
     split = None if args.split == "all" else args.split
     thresholds = _parse_thresholds(args.thresholds)
@@ -166,12 +160,8 @@ def cmd_analyze(args) -> int:
         except (KeyError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"{vid}: bad annotation entry ({exc})") from None
     result = analyze_predictions(preds, gt_map, args.tau_eval)
-
-    def _show(x):
-        return "n/a" if x is None else f"{x:.4f}"
-
-    print(f"temporal consistency  {_show(result['temporal_consistency'])}")
-    print(f"semantic consistency  {_show(result['semantic_consistency'])}")
+    print(f"temporal consistency  {_fmt(result['temporal_consistency'])}")
+    print(f"semantic consistency  {_fmt(result['semantic_consistency'])}")
     print(f"pairs scored {result['pairs_scored']} (skipped {result['pairs_skipped']})")
     return 0
 

@@ -1,16 +1,22 @@
 """Typed INI run-configuration files.
 
-Grammar: sections ``[data]``, ``[model]``, ``[train]``, ``[eval]``,
-``[synth]``; every key is typed (string, int, float, bool, or a
-comma-separated int list) and has a documented default, so an empty file is
-a valid configuration. Unknown sections or keys are rejected by name.
+Grammar: sections ``[data]``, ``[model]``, ``[train]`` and ``[synth]``. The
+keys and their defaults are the fields of the config dataclasses
+(``DataConfig``; ``TrainConfig`` with its ``GridConfig``; ``SynthConfig``),
+so an empty file is a valid configuration. A key parses as its default's
+type: int, float or string, and a tuple default means a comma-separated int
+list. Three settings are spelled differently from the fields they set:
+``[model] window_sizes``/``stride`` build the grid, ``[train] loss`` picks
+the ``use_bce``/``use_tmp``/``use_smt`` switches, and ``[synth]
+tokens_min``/``tokens_max`` form ``tokens_per_sentence``. Unknown sections
+or keys are rejected by name.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .data import DataConfig
 from .errors import ConfigError
@@ -18,73 +24,39 @@ from .segments import GridConfig
 from .synthetic import SynthConfig
 from .training import TrainConfig
 
-# section -> key -> (type tag, default)
-SCHEMA = {
-    "data": {
-        "l_c": ("int", 128),
-        "pool_span": ("int", 5),
-        "max_sentence_len": ("int", 20),
-    },
-    "model": {
-        "d": ("int", 256),
-        "depth_self": ("int", 1),
-        "depth_cross": ("int", 1),
-        "window_sizes": ("intlist", (8, 12, 20, 32, 64)),
-        "stride": ("int", 8),
-    },
-    "train": {
-        "batch_videos": ("int", 64),
-        "epochs": ("int", 50),
-        "learning_rate": ("float", 1e-4),
-        "beta1": ("float", 0.9),
-        "beta2": ("float", 0.999),
-        "adam_eps": ("float", 1e-8),
-        "tau": ("float", 0.5),
-        "max_concat_len": ("int", 40),
-        "grad_clip": ("float", 0.0),
-        "seed": ("int", 0),
-        "loss": ("str", "bce,tmp,smt"),
-    },
-    "eval": {
-        "split": ("str", "all"),
-        "tau_eval": ("float", 0.5),
-    },
-    "synth": {
-        "num_videos": ("int", 200),
-        "l_c": ("int", 32),
-        "d_v": ("int", 16),
-        "d_t": ("int", 16),
-        "num_event_types": ("int", 6),
-        "events_min": ("int", 2),
-        "events_max": ("int", 3),
-        "event_lengths": ("intlist", (4, 6, 8, 10)),
-        "ambiguity_rate": ("float", 0.5),
-        "noise_std": ("float", 0.1),
-        "tokens_min": ("int", 1),
-        "tokens_max": ("int", 5),
-        "tokens_per_type": ("int", 6),
-        "num_confusers": ("int", 10),
-        "test_fraction": ("float", 0.25),
-        "seed": ("int", 0),
-    },
-}
-
-_BOOL_VALUES = {"true": True, "yes": True, "1": True, "on": True,
-                "false": False, "no": False, "0": False, "off": False}
+_LOSSES = ("bce", "tmp", "smt")
 
 
-def _convert(section: str, key: str, kind: str, raw: str):
+def _defaults(cls) -> dict:
+    """Field name -> default, for the fields of ``cls`` with a plain default."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+def _schema() -> dict:
+    train = _defaults(TrainConfig)
+    model = {key: train.pop(key) for key in ("d", "depth_self", "depth_cross")}
+    loss = ",".join(name for name in _LOSSES if train.pop(f"use_{name}"))
+    synth = _defaults(SynthConfig)
+    synth["tokens_min"], synth["tokens_max"] = synth.pop("tokens_per_sentence")
+    return {
+        "data": _defaults(DataConfig),
+        "model": {**model, **_defaults(GridConfig)},
+        "train": {**train, "loss": loss},
+        "synth": synth,
+    }
+
+
+# section -> key -> default; a key's type is its default's type
+SCHEMA = _schema()
+
+
+def _convert(section: str, key: str, default, raw: str):
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            return _BOOL_VALUES[raw.strip().lower()]
-        if kind == "intlist":
+        if isinstance(default, tuple):
             return tuple(int(part) for part in raw.split(",") if part.strip())
-        return raw.strip()
-    except (ValueError, KeyError):
+        return type(default)(raw.strip())
+    except ValueError:
+        kind = "intlist" if isinstance(default, tuple) else type(default).__name__
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {kind}", key=f"{section}.{key}"
         ) from None
@@ -93,12 +65,12 @@ def _convert(section: str, key: str, kind: str, raw: str):
 def parse_loss_switches(spec: str) -> tuple:
     """'bce,tmp,smt' style selector -> (use_bce, use_tmp, use_smt)."""
     parts = [p.strip() for p in spec.split(",") if p.strip()]
-    unknown = [p for p in parts if p not in ("bce", "tmp", "smt")]
+    unknown = [p for p in parts if p not in _LOSSES]
     if unknown:
         raise ConfigError(f"unknown loss component {unknown[0]!r}", key="train.loss")
     if not parts:
         raise ConfigError("loss selector must name at least one component", key="train.loss")
-    return ("bce" in parts, "tmp" in parts, "smt" in parts)
+    return tuple(name in parts for name in _LOSSES)
 
 
 @dataclass
@@ -112,38 +84,26 @@ class RunConfig:
         return self.values[section]
 
     def data_config(self) -> DataConfig:
-        d = self.values["data"]
-        return DataConfig(d["l_c"], d["pool_span"], d["max_sentence_len"])
+        return DataConfig(**self.values["data"])
 
     def train_config(self, loss: str | None = None, seed: int | None = None) -> TrainConfig:
-        m, t = self.values["model"], self.values["train"]
-        use_bce, use_tmp, use_smt = parse_loss_switches(loss if loss is not None else t["loss"])
-        return TrainConfig(
-            d=m["d"], depth_self=m["depth_self"], depth_cross=m["depth_cross"],
-            grid=GridConfig(m["window_sizes"], m["stride"]),
-            batch_videos=t["batch_videos"], epochs=t["epochs"],
-            learning_rate=t["learning_rate"], beta1=t["beta1"], beta2=t["beta2"],
-            adam_eps=t["adam_eps"], tau=t["tau"], max_concat_len=t["max_concat_len"],
-            grad_clip=t["grad_clip"], seed=t["seed"] if seed is None else seed,
-            use_bce=use_bce, use_tmp=use_tmp, use_smt=use_smt,
-        )
+        model, train = dict(self.values["model"]), dict(self.values["train"])
+        grid = GridConfig(model.pop("window_sizes"), model.pop("stride"))
+        spec = train.pop("loss")
+        use_bce, use_tmp, use_smt = parse_loss_switches(spec if loss is None else loss)
+        if seed is not None:
+            train["seed"] = seed
+        return TrainConfig(**model, **train, grid=grid,
+                           use_bce=use_bce, use_tmp=use_tmp, use_smt=use_smt)
 
     def synth_config(self) -> SynthConfig:
-        s = self.values["synth"]
-        return SynthConfig(
-            num_videos=s["num_videos"], l_c=s["l_c"], d_v=s["d_v"], d_t=s["d_t"],
-            num_event_types=s["num_event_types"], events_min=s["events_min"],
-            events_max=s["events_max"], event_lengths=s["event_lengths"],
-            ambiguity_rate=s["ambiguity_rate"], noise_std=s["noise_std"],
-            tokens_per_sentence=(s["tokens_min"], s["tokens_max"]),
-            tokens_per_type=s["tokens_per_type"], num_confusers=s["num_confusers"],
-            test_fraction=s["test_fraction"], seed=s["seed"],
-        )
+        synth = dict(self.values["synth"])
+        synth["tokens_per_sentence"] = (synth.pop("tokens_min"), synth.pop("tokens_max"))
+        return SynthConfig(**synth)
 
 
 def default_run_config() -> RunConfig:
-    values = {sec: {k: spec[1] for k, spec in keys.items()} for sec, keys in SCHEMA.items()}
-    return RunConfig(values)
+    return RunConfig({section: dict(keys) for section, keys in SCHEMA.items()})
 
 
 def load_run_config(path) -> RunConfig:
@@ -164,8 +124,7 @@ def load_run_config(path) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}", key=f"{section}.{key}")
-            kind = SCHEMA[section][key][0]
-            run.values[section][key] = _convert(section, key, kind, raw)
+            run.values[section][key] = _convert(section, key, SCHEMA[section][key], raw)
     # fail fast on a bad loss selector even if training never runs
     parse_loss_switches(run.values["train"]["loss"])
     return run

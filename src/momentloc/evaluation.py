@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import CheckpointMismatchError, DataError, PredictionsMismatchError
 from .losses import concat_queries
 from .network import localize
 from .segments import hull, iou, order_relation
-from .training import Checkpoint, grid_from_snapshot
+from .training import Checkpoint, TrainConfig, grid_from_snapshot
 
 
 @dataclass
@@ -56,20 +57,22 @@ def _check_compatible(records, checkpoint: Checkpoint, split: str | None = None)
             raise CheckpointMismatchError(name, expected, actual)
 
 
+def _params64(checkpoint: Checkpoint) -> dict:
+    """The float32 checkpoint tensors cast to float64 once, so that each
+    ``localize`` call does not cast them again."""
+    return {name: arr.astype(np.float64) for name, arr in checkpoint.params.items()}
+
+
 def predict_sentences(records, checkpoint: Checkpoint) -> dict:
     """(video id, position) -> predicted (start_s, end_s) for every sentence."""
     _check_compatible(records, checkpoint)
-    return _predict(records, checkpoint)
+    return _predict(records, checkpoint, _params64(checkpoint))
 
 
-def _predict(records, checkpoint: Checkpoint) -> dict:
+def _predict(records, checkpoint: Checkpoint, params) -> dict:
     grid_config = grid_from_snapshot(checkpoint.config)
-    preds = {}
-    for rec in records:
-        for sent in rec.paragraph:
-            result = localize(rec, sent, checkpoint.params, grid_config)
-            preds[(rec.id, sent.position)] = result.seconds
-    return preds
+    return {(rec.id, sent.position): localize(rec, sent, params, grid_config).seconds
+            for rec in records for sent in rec.paragraph}
 
 
 def recall_from_predictions(records, preds: dict, thresholds) -> tuple:
@@ -91,40 +94,31 @@ def recall_from_predictions(records, preds: dict, thresholds) -> tuple:
     return recall, details
 
 
-def recall_at_iou(corpus, checkpoint: Checkpoint, thresholds=(0.1, 0.3, 0.5),
-                  split: str | None = None) -> dict:
-    """Fraction of queries whose top-1 prediction beats each IoU threshold."""
-    records = filter_split(corpus, split)
-    preds = predict_sentences(records, checkpoint)
-    recall, _ = recall_from_predictions(records, preds, thresholds)
-    return recall
+# The pair-consistency core: every protocol enumerates a video's sentence
+# pairs with itertools.combinations and scores each with one of these.
+
+def _order_consistent(pred_a, pred_b, gt_a, gt_b) -> bool:
+    """The two predictions are ordered like the two ground-truth segments."""
+    return order_relation(pred_a, pred_b) == order_relation(gt_a, gt_b)
 
 
-def _video_pairs(record):
-    l_q = len(record.paragraph)
-    for a in range(l_q):
-        for b in range(a + 1, l_q):
-            yield record.paragraph[a], record.paragraph[b]
+def _hull_consistent(pred, gt_a, gt_b, tau_eval) -> bool:
+    """The pair's prediction overlaps the hull of its two ground-truth
+    segments with IoU strictly above tau_eval."""
+    return iou(pred, hull(gt_a, gt_b)) > tau_eval
+
+
+def _ratio(flags: list) -> float | None:
+    return sum(flags) / len(flags) if flags else None
 
 
 def temporal_consistency_from_predictions(records, preds: dict) -> float | None:
     """Ratio of sentence pairs whose predictions are ordered like the truth."""
-    consistent = total = 0
-    for rec in records:
-        for sent_a, sent_b in _video_pairs(rec):
-            pred_a = preds[(rec.id, sent_a.position)]
-            pred_b = preds[(rec.id, sent_b.position)]
-            truth = order_relation(sent_a.gt_segment, sent_b.gt_segment)
-            total += 1
-            if order_relation(pred_a, pred_b) == truth:
-                consistent += 1
-    return consistent / total if total else None
-
-
-def temporal_consistency(corpus, checkpoint: Checkpoint, split: str | None = None):
-    records = filter_split(corpus, split)
-    preds = predict_sentences(records, checkpoint)
-    return temporal_consistency_from_predictions(records, preds)
+    return _ratio([
+        _order_consistent(preds[(rec.id, a.position)], preds[(rec.id, b.position)],
+                          a.gt_segment, b.gt_segment)
+        for rec in records for a, b in combinations(rec.paragraph, 2)
+    ])
 
 
 def analyze_predictions(preds: dict, gt_map: dict, tau_eval=0.5) -> dict:
@@ -133,7 +127,8 @@ def analyze_predictions(preds: dict, gt_map: dict, tau_eval=0.5) -> dict:
     ``gt_map`` maps video id to the list of ground-truth segments in sentence
     position order. Every prediction key must resolve to a known (video,
     position); pairs where either side lacks a prediction are skipped and
-    counted. Returns both pairwise consistency ratios.
+    counted. Returns both pairwise consistency ratios; the semantic one
+    scores the hull of the pair's two predictions.
     """
     unmatched = [
         f"{vid}:{pos}"
@@ -142,24 +137,20 @@ def analyze_predictions(preds: dict, gt_map: dict, tau_eval=0.5) -> dict:
     ]
     if unmatched:
         raise PredictionsMismatchError(sorted(unmatched))
-    tempo = sem = total = skipped = 0
+    tempo, sem = [], []
+    skipped = 0
     for vid in sorted(gt_map):
-        segs = gt_map[vid]
-        for a in range(len(segs)):
-            for b in range(a + 1, len(segs)):
-                if (vid, a) not in preds or (vid, b) not in preds:
-                    skipped += 1
-                    continue
-                total += 1
-                pred_a, pred_b = preds[(vid, a)], preds[(vid, b)]
-                if order_relation(pred_a, pred_b) == order_relation(segs[a], segs[b]):
-                    tempo += 1
-                if iou(hull(pred_a, pred_b), hull(segs[a], segs[b])) > tau_eval:
-                    sem += 1
+        for (a, gt_a), (b, gt_b) in combinations(enumerate(gt_map[vid]), 2):
+            if (vid, a) not in preds or (vid, b) not in preds:
+                skipped += 1
+                continue
+            pred_a, pred_b = preds[(vid, a)], preds[(vid, b)]
+            tempo.append(_order_consistent(pred_a, pred_b, gt_a, gt_b))
+            sem.append(_hull_consistent(hull(pred_a, pred_b), gt_a, gt_b, tau_eval))
     return {
-        "temporal_consistency": tempo / total if total else None,
-        "semantic_consistency": sem / total if total else None,
-        "pairs_scored": total,
+        "temporal_consistency": _ratio(tempo),
+        "semantic_consistency": _ratio(sem),
+        "pairs_scored": len(tempo),
         "pairs_skipped": skipped,
     }
 
@@ -170,22 +161,17 @@ def semantic_consistency(corpus, checkpoint: Checkpoint, tau_eval=0.5,
     with the hull of the pair's ground-truth segments exceeds tau_eval."""
     records = filter_split(corpus, split)
     _check_compatible(records, checkpoint, split)
-    return _semantic(records, checkpoint, tau_eval)
+    return _semantic(records, checkpoint, _params64(checkpoint), tau_eval)
 
 
-def _semantic(records, checkpoint: Checkpoint, tau_eval) -> float | None:
+def _semantic(records, checkpoint: Checkpoint, params, tau_eval) -> float | None:
     grid_config = grid_from_snapshot(checkpoint.config)
-    max_concat = checkpoint.config.get("max_concat_len", 40)
-    consistent = total = 0
-    for rec in records:
-        for sent_a, sent_b in _video_pairs(rec):
-            combined = concat_queries(sent_a, sent_b, max_concat)
-            result = localize(rec, combined, checkpoint.params, grid_config)
-            gt_hull = hull(sent_a.gt_segment, sent_b.gt_segment)
-            total += 1
-            if iou(result.seconds, gt_hull) > tau_eval:
-                consistent += 1
-    return consistent / total if total else None
+    max_concat = checkpoint.config.get("max_concat_len", TrainConfig.max_concat_len)
+    return _ratio([
+        _hull_consistent(localize(rec, concat_queries(a, b, max_concat), params,
+                                  grid_config).seconds, a.gt_segment, b.gt_segment, tau_eval)
+        for rec in records for a, b in combinations(rec.paragraph, 2)
+    ])
 
 
 def count_pairs(records) -> int:
@@ -197,12 +183,13 @@ def evaluate(corpus, checkpoint: Checkpoint, thresholds=(0.1, 0.3, 0.5),
     """Full report: recall at every threshold plus both consistency ratios."""
     records = filter_split(corpus, split)
     _check_compatible(records, checkpoint, split)
-    preds = _predict(records, checkpoint)
+    params = _params64(checkpoint)
+    preds = _predict(records, checkpoint, params)
     recall, details = recall_from_predictions(records, preds, thresholds)
     return EvalReport(
         recall_at=recall,
         temporal_consistency=temporal_consistency_from_predictions(records, preds),
-        semantic_consistency=_semantic(records, checkpoint, tau_eval),
+        semantic_consistency=_semantic(records, checkpoint, params, tau_eval),
         per_query=details,
         num_queries=len(details),
         num_pairs=count_pairs(records),

@@ -13,14 +13,14 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError, MomentlocError, TrainingDivergedError
 from .losses import BatchItem, LossConfig, NegativeSample, total_loss
-from .network import ModelParams, init_params, lift, params_from_named
+from .network import ModelParams, _param_table, init_params, lift, params_from_named
 from .segments import GridConfig
 
 _CHECKPOINT_MAGIC = b"CRMC"
@@ -161,19 +161,6 @@ class Checkpoint:
     order_consistency: list
 
 
-def _config_snapshot(cfg: TrainConfig, d_v: int, d_t: int, l_c: int) -> dict:
-    return {
-        "d": cfg.d, "d_v": d_v, "d_t": d_t, "l_c": l_c,
-        "depth_self": cfg.depth_self, "depth_cross": cfg.depth_cross,
-        "window_sizes": list(cfg.grid.window_sizes), "stride": cfg.grid.stride,
-        "batch_videos": cfg.batch_videos, "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate, "beta1": cfg.beta1, "beta2": cfg.beta2,
-        "adam_eps": cfg.adam_eps, "tau": cfg.tau, "max_concat_len": cfg.max_concat_len,
-        "grad_clip": cfg.grad_clip, "seed": cfg.seed,
-        "use_bce": cfg.use_bce, "use_tmp": cfg.use_tmp, "use_smt": cfg.use_smt,
-    }
-
-
 def grid_from_snapshot(config: dict) -> GridConfig:
     return GridConfig(tuple(config["window_sizes"]), config["stride"])
 
@@ -239,9 +226,11 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
         order_series.append(sum(flags) / len(flags) if flags else None)
 
     params32 = ModelParams({k: v.astype(np.float32) for k, v in params.items()})
-    snapshot = _config_snapshot(config, d_v, d_t, l_c)
-    if extra_config:
-        snapshot.update(extra_config)
+    snapshot = asdict(config)
+    grid = snapshot.pop("grid")
+    snapshot.update(window_sizes=list(grid["window_sizes"]), stride=grid["stride"],
+                    d_v=d_v, d_t=d_t, l_c=l_c)
+    snapshot.update(extra_config or {})
     return Checkpoint(
         params=params32,
         config=snapshot,
@@ -288,11 +277,16 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         manifest = json.loads(blob[9 : 9 + mlen].decode())
         config = manifest["config"]
-        dims = (config["d"], config["depth_self"], config["depth_cross"])
+        d, depth_self, depth_cross = config["d"], config["depth_self"], config["depth_cross"]
+        table = dict(_param_table(d, config["d_v"], config["d_t"], depth_self, depth_cross))
         tensors = [(e["name"], tuple(int(n) for n in e["shape"])) for e in manifest["tensors"]]
         fields = [manifest[k] for k in ("epoch", "rng_digest", "metrics_csv", "order_consistency")]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
+    for name, shape in tensors:
+        if table.get(name, shape) != shape:
+            raise DataError(f"{path}: tensor {name!r} has shape {list(shape)}, "
+                            f"the model needs {list(table[name])}")
     offset = 9 + mlen
     expected = offset + 4 * sum(math.prod(shape) for _, shape in tensors)
     if expected != len(blob):
@@ -302,7 +296,7 @@ def load_checkpoint(path) -> Checkpoint:
         count = math.prod(shape)
         named[name] = np.frombuffer(blob, "<f4", count, offset).reshape(shape).copy()
         offset += 4 * count
-    return Checkpoint(params_from_named(named, *dims), config, *fields)
+    return Checkpoint(params_from_named(named, d, depth_self, depth_cross), config, *fields)
 
 
 def default_gradient_check(seed=0, *, use_bce=True, use_tmp=True, use_smt=True,

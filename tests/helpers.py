@@ -1,5 +1,8 @@
 """Small builders shared across test modules."""
 
+import json
+import struct
+
 import numpy as np
 
 from momentloc import (
@@ -153,3 +156,15 @@ def scalar_attention_oracle(target, reference, params, mask=None):
         for a in range(dim):
             out[i][a] = params["fc_b"][a] + sum(pre[b] * params["fc_w"][a][b] for b in range(dim))
     return np.array(out), np.array(weights)
+
+
+def transpose_in_manifest(raw: bytes, name: str) -> bytes:
+    """Checkpoint bytes whose manifest lists tensor ``name`` with its shape
+    reversed; the byte count, and so the file length, stay the same."""
+    (mlen,) = struct.unpack("<I", raw[5:9])
+    manifest = json.loads(raw[9 : 9 + mlen])
+    for entry in manifest["tensors"]:
+        if entry["name"] == name:
+            entry["shape"] = entry["shape"][::-1]
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + mlen :]

@@ -3,8 +3,8 @@
 Each test prints one ``ACCEPTANCE n <label>: PASS/FAIL`` line (run with
 ``pytest tests/test_acceptance.py -s`` to watch them stream). Checks 5-7
 share one block of nine training runs (three loss arms x three seeds) on
-the default 200-video synthetic corpus; expect roughly ten minutes for
-the full gate on a laptop CPU.
+the default 200-video synthetic corpus, in at most two worker processes;
+expect 6.5 to 8 minutes for the full gate on a 2-CPU machine.
 """
 
 import math

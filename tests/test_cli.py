@@ -18,7 +18,7 @@ from momentloc import (
 )
 from momentloc.cli import main
 
-from helpers import tiny_params
+from helpers import tiny_params, transpose_in_manifest
 
 RUN_INI = """\
 [data]
@@ -271,6 +271,16 @@ class TestEvalCommand:
         proc = run_cli("eval", str(cut), workdir["data"])
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+    def test_wrong_tensor_shape_exits_two(self, workdir, tmp_path):
+        raw = Path(workdir["ckpt"]).read_bytes()
+        bad = tmp_path / "transposed.ckpt"
+        bad.write_bytes(transpose_in_manifest(raw, "fusion.w"))
+        proc = run_cli("eval", str(bad), workdir["data"])
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "'fusion.w'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

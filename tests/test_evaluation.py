@@ -15,12 +15,10 @@ from momentloc import (
     count_pairs,
     evaluate,
     generate_corpus,
-    recall_at_iou,
     recall_from_predictions,
     report_to_json,
     report_to_table,
     semantic_consistency,
-    temporal_consistency,
     temporal_consistency_from_predictions,
     train,
 )
@@ -187,7 +185,7 @@ def trained():
 class TestCheckpointMetrics:
     def test_recall_dict_monotone(self, trained):
         records, ckpt = trained
-        recall = recall_at_iou(records, ckpt, (0.1, 0.3, 0.5, 0.7))
+        recall = evaluate(records, ckpt, (0.1, 0.3, 0.5, 0.7)).recall_at
         vals = [recall[m] for m in (0.1, 0.3, 0.5, 0.7)]
         assert vals == sorted(vals, reverse=True)
         assert all(0.0 <= v <= 1.0 for v in vals)
@@ -213,13 +211,13 @@ class TestCheckpointMetrics:
         _, ckpt = trained
         bad = gt_record("x", [(0, 4), (4, 8)], duration=8.0, d_v=6, d_t=6)
         with pytest.raises(CheckpointMismatchError) as exc:
-            recall_at_iou([bad], ckpt, (0.5,))
+            evaluate([bad], ckpt, (0.5,))
         assert exc.value.field == "l_c"
         assert exc.value.expected == 16 and exc.value.actual == 8
 
     def test_consistency_ranges(self, trained):
         records, ckpt = trained
-        tc = temporal_consistency(records, ckpt)
+        tc = evaluate(records, ckpt).temporal_consistency
         sc = semantic_consistency(records, ckpt)
         assert 0.0 <= tc <= 1.0
         assert 0.0 <= sc <= 1.0

@@ -6,7 +6,7 @@ from scipy import stats
 
 import momentloc.training as training
 
-from helpers import make_record
+from helpers import make_record, transpose_in_manifest
 from momentloc import (
     GT_AUDIT,
     Adam,
@@ -238,6 +238,17 @@ class TestTrain:
         assert ckpt.config["d_v"] == 8 and ckpt.config["l_c"] == 16
         assert grid_from_snapshot(ckpt.config) == TINY_GRID
 
+    def test_config_snapshot_pinned(self):
+        cfg = tiny_train_config(grad_clip=1.0, use_smt=False)
+        ckpt = train(tiny_corpus(4), cfg, {"pool_span": 3})
+        assert ckpt.config == {
+            "d": 8, "d_v": 8, "d_t": 8, "l_c": 16, "depth_self": 1, "depth_cross": 1,
+            "window_sizes": [8, 16], "stride": 8, "batch_videos": 2, "epochs": 2,
+            "learning_rate": 0.001, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-08,
+            "tau": 0.5, "max_concat_len": 40, "grad_clip": 1.0, "seed": 0,
+            "use_bce": True, "use_tmp": True, "use_smt": False, "pool_span": 3,
+        }
+
     def test_previous_tape_freed_before_next_forward(self, monkeypatch):
         def live_tape_nodes():
             return sum(1 for o in gc.get_objects()
@@ -316,6 +327,13 @@ class TestCheckpointIO:
             cut.write_bytes(raw[:n])
             with pytest.raises(DataError):
                 load_checkpoint(cut)
+
+    def test_wrong_tensor_shape_named(self, tmp_path):
+        p = tmp_path / "model.crmc"
+        save_checkpoint(train(tiny_corpus(4), tiny_train_config(d=4, epochs=1)), p)
+        p.write_bytes(transpose_in_manifest(p.read_bytes(), "fusion.w"))
+        with pytest.raises(DataError, match="'fusion.w' has shape \\[8, 4\\]"):
+            load_checkpoint(p)
 
     def test_missing_tensor_named(self):
         named = self.make().params.named_arrays()
