@@ -2,9 +2,21 @@
 
 A tape-based engine sized for this package: float64 values, 2-D matrices /
 1-D vectors / 0-d scalars, and exactly the operations the matching network
-and its losses need. Each operation builds one graph node whose backward
-closure scatters the incoming gradient to its parents; ``backward`` runs a
-single reverse topological sweep.
+and its losses need.
+
+The op contract. An op computes its forward value and returns
+``Tensor(value, parents, backward)``. ``backward(g)`` takes the gradient of
+the op's output and returns its local gradients: one per parent, in parent
+order, each shaped like that parent. It writes nothing. Only ``add`` and
+``mul`` broadcast, so only they sum their gradients back down with
+``_unbroadcast``. :func:`backward` is the one place that touches ``.grad``: a
+reverse topological sweep that copies a gradient on its first arrival at a
+node and adds later arrivals in place.
+
+To add an op, wrap its inputs with ``as_tensor``, compute the value, and
+define its backward inside the op function: a node is named by the first
+part of ``_backward.__qualname__``. Then list the op in the contract table
+of ``tests/test_autodiff.py``.
 
 Max-style operations (segment_max, max_rows, masked_max) route gradients to
 the first arg-max element, which keeps training deterministic under ties.
@@ -30,29 +42,11 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __float__(self) -> float:
         return float(self.value)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape}, leaf={self._backward is None})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(as_tensor(other)))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(x) -> Tensor:
@@ -68,13 +62,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _accumulate(node: Tensor, g: np.ndarray):
-    if node.grad is None:
-        node.grad = np.array(g, dtype=np.float64, copy=True)
-    else:
-        node.grad += g
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (reverses numpy broadcasting)."""
     while g.ndim > len(shape):
@@ -85,127 +72,80 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _scatter(shape: tuple, index, g) -> np.ndarray:
+    """Zeros of ``shape`` with ``g`` placed at ``index``."""
+    ga = np.zeros(shape)
+    ga[index] = g
+    return ga
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_value = a.value + b.value
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(g, b.value.shape))
-
-    return Tensor(out_value, (a, b), backward)
+    return Tensor(a.value + b.value, (a, b), lambda g: (
+        _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
 
 
 def add_n(terms) -> Tensor:
     """Sum of same-shaped tensors as a single node."""
-    terms = [as_tensor(t) for t in terms]
+    terms = tuple(as_tensor(t) for t in terms)
     out_value = terms[0].value.copy()
     for t in terms[1:]:
         out_value += t.value
-
-    def backward(g):
-        for t in terms:
-            _accumulate(t, g)
-
-    return Tensor(out_value, tuple(terms), backward)
+    return Tensor(out_value, terms, lambda g: (g,) * len(terms))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, -g)
-
-    return Tensor(-a.value, (a,), backward)
+    return Tensor(-a.value, (a,), lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_value = a.value * b.value
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
-
-    return Tensor(out_value, (a, b), backward)
+    return Tensor(a.value * b.value, (a, b), lambda g: (
+        _unbroadcast(g * b.value, a.value.shape), _unbroadcast(g * a.value, b.value.shape)))
 
 
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-
-    def backward(g):
-        _accumulate(a, g * c)
-
-    return Tensor(a.value * c, (a,), backward)
+    return Tensor(a.value * c, (a,), lambda g: (g * c,))
 
 
 def rsub_const(c: float, a) -> Tensor:
     """c - a."""
     a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, -g)
-
-    return Tensor(float(c) - a.value, (a,), backward)
+    return Tensor(float(c) - a.value, (a,), lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
     """2-D @ 2-D matrix product."""
     a, b = as_tensor(a), as_tensor(b)
-    out_value = a.value @ b.value
-
-    def backward(g):
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
-
-    return Tensor(out_value, (a, b), backward)
+    return Tensor(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
 
 
 def matvec(a, v) -> Tensor:
     """(m, n) @ (n,) -> (m,)."""
     a, v = as_tensor(a), as_tensor(v)
-    out_value = a.value @ v.value
-
-    def backward(g):
-        _accumulate(a, np.outer(g, v.value))
-        _accumulate(v, a.value.T @ g)
-
-    return Tensor(out_value, (a, v), backward)
+    return Tensor(a.value @ v.value, (a, v), lambda g: (np.outer(g, v.value), a.value.T @ g))
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, g.T)
-
-    return Tensor(a.value.T, (a,), backward)
+    return Tensor(a.value.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     old = a.value.shape
-
-    def backward(g):
-        _accumulate(a, g.reshape(old))
-
-    return Tensor(a.value.reshape(shape), (a,), backward)
+    return Tensor(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def concat_cols(parts) -> Tensor:
     """Horizontal concatenation of 2-D blocks with equal row counts."""
-    parts = [as_tensor(p) for p in parts]
-    widths = [p.value.shape[1] for p in parts]
+    parts = tuple(as_tensor(p) for p in parts)
+    cuts = np.cumsum([p.value.shape[1] for p in parts])[:-1]
     out_value = np.concatenate([p.value for p in parts], axis=1)
-
-    def backward(g):
-        lo = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[:, lo : lo + w])
-            lo += w
-
-    return Tensor(out_value, tuple(parts), backward)
+    return Tensor(out_value, parts, lambda g: np.split(g, cuts, axis=1))
 
 
 def sigmoid(a) -> Tensor:
@@ -213,32 +153,19 @@ def sigmoid(a) -> Tensor:
     x = a.value
     out_value = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                          np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g):
-        _accumulate(a, g * out_value * (1.0 - out_value))
-
-    return Tensor(out_value, (a,), backward)
+    return Tensor(out_value, (a,), lambda g: (g * out_value * (1.0 - out_value),))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, g / a.value)
-
-    return Tensor(np.log(a.value), (a,), backward)
+    return Tensor(np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
     """Clip values; gradient passes only where the clamp is inactive."""
     a = as_tensor(a)
-    out_value = np.clip(a.value, lo, hi)
     inside = (a.value > lo) & (a.value < hi)
-
-    def backward(g):
-        _accumulate(a, g * inside)
-
-    return Tensor(out_value, (a,), backward)
+    return Tensor(np.clip(a.value, lo, hi), (a,), lambda g: (g * inside,))
 
 
 def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
@@ -260,7 +187,7 @@ def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:
 
     def backward(g):
         dot = (g * out_value).sum(axis=1, keepdims=True)
-        _accumulate(a, out_value * (g - dot))
+        return (out_value * (g - dot),)
 
     return Tensor(out_value, (a,), backward)
 
@@ -288,7 +215,7 @@ def segment_max(a, segments) -> Tensor:
     def backward(g):
         ga = np.zeros_like(x)
         np.add.at(ga, (argrows, cols), g)  # segment by segment, as a loop would
-        _accumulate(a, ga)
+        return (ga,)
 
     return Tensor(out_value, (a,), backward)
 
@@ -297,16 +224,8 @@ def max_rows(a) -> Tensor:
     """Column-wise max of a 2-D tensor -> 1-D vector."""
     a = as_tensor(a)
     x = a.value
-    idx = x.argmax(axis=0)
-    cols = np.arange(x.shape[1])
-    out_value = x[idx, cols]
-
-    def backward(g):
-        ga = np.zeros_like(x)
-        ga[idx, cols] = g
-        _accumulate(a, ga)
-
-    return Tensor(out_value, (a,), backward)
+    index = (x.argmax(axis=0), np.arange(x.shape[1]))
+    return Tensor(x[index], (a,), lambda g: (_scatter(x.shape, index, g),))
 
 
 def masked_max(a, mask: np.ndarray | None = None) -> Tensor:
@@ -319,28 +238,16 @@ def masked_max(a, mask: np.ndarray | None = None) -> Tensor:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any():
             raise ValueError("masked_max over empty selection")
-        masked = np.where(mask, x, -np.inf)
-        flat_idx = int(masked.argmax())
-    out_value = np.float64(x.reshape(-1)[flat_idx])
-
-    def backward(g):
-        ga = np.zeros_like(x)
-        ga.reshape(-1)[flat_idx] = g
-        _accumulate(a, ga)
-
-    return Tensor(np.asarray(out_value), (a,), backward)
+        flat_idx = int(np.where(mask, x, -np.inf).argmax())
+    index = np.unravel_index(flat_idx, x.shape)
+    return Tensor(np.asarray(x[index]), (a,), lambda g: (_scatter(x.shape, index, g),))
 
 
 def pick(a, index: int) -> Tensor:
     """Select one element of a 1-D tensor -> 0-d scalar."""
     a = as_tensor(a)
-
-    def backward(g):
-        ga = np.zeros_like(a.value)
-        ga[index] = g
-        _accumulate(a, ga)
-
-    return Tensor(np.asarray(a.value[index]), (a,), backward)
+    x = a.value
+    return Tensor(np.asarray(x[index]), (a,), lambda g: (_scatter(x.shape, index, g),))
 
 
 def backward(root: Tensor):
@@ -364,5 +271,10 @@ def backward(root: Tensor):
                 stack.append((p, False))
     root.grad = np.ones((), dtype=np.float64)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is None:
+            continue
+        for parent, g in zip(node.parents, node._backward(node.grad)):
+            if parent.grad is None:
+                parent.grad = np.array(g, dtype=np.float64, copy=True)
+            else:
+                parent.grad += g

@@ -23,7 +23,8 @@ import sys
 from dataclasses import asdict, fields
 
 from .config import default_run_config, load_run_config
-from .data import DataConfig, filter_split, load_corpus, load_embeddings, read_annotations
+from .data import (DataConfig, atomic_write, filter_split, load_corpus, load_embeddings,
+                   read_annotations)
 from .errors import (
     CheckpointMismatchError,
     ConfigError,
@@ -89,7 +90,7 @@ def cmd_train(args) -> int:
     ckpt = train(train_records, train_config, asdict(data_config))
     save_checkpoint(ckpt, args.out)
     metrics_path = args.metrics if args.metrics else args.out + ".metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8") as fh:
+    with atomic_write(metrics_path, encoding="utf-8") as fh:
         fh.write(ckpt.metrics_csv)
     last = ckpt.metrics_csv.strip().splitlines()[-1]
     print(f"trained {ckpt.epoch} epoch(s) on {len(train_records)} videos")
@@ -119,7 +120,7 @@ def cmd_eval(args) -> int:
     report = evaluate(records, ckpt, thresholds, split, args.tau_eval)
     print(report_to_table(report))
     out_path = args.out if args.out else args.checkpoint + ".eval.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path, encoding="utf-8") as fh:
         fh.write(report_to_json(report))
     print(f"report {out_path}")
     return 0

@@ -14,10 +14,12 @@ and paragraph ordering only. Every read of ``Sentence.gt_segment`` increments
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import string
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,6 +219,24 @@ def tokenize(sentence_text: str, table: EmbeddingTable, max_len: int) -> TokenSe
     return TokenSequence(rows, tuple(words))
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="w", **open_kwargs):
+    """Write through a temporary file beside ``path``, then rename it into place.
+
+    If the body raises, the temporary file is removed and an earlier file at
+    ``path`` is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_features(path, matrix: np.ndarray):
     """Write a feature matrix in the binary interchange format."""
     m = np.ascontiguousarray(matrix, dtype="<f4")
@@ -234,6 +254,8 @@ def read_features(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != _FEATURE_MAGIC:
         raise DataError(f"{path}: bad magic, not a feature file")
+    if len(blob) < 13:
+        raise DataError(f"{path}: truncated header, {len(blob)} of 13 bytes")
     if blob[4] != _FEATURE_VERSION:
         raise DataError(f"{path}: unsupported feature format version {blob[4]}")
     rows, cols = struct.unpack("<II", blob[5:13])
@@ -331,9 +353,11 @@ def _validate_entry(vid, entry, duration):
 def load_corpus(annotation_path, feature_dir, table: EmbeddingTable, config: DataConfig) -> CorpusLoadResult:
     """Build one VideoRecord per well-formed annotated video.
 
-    Records that fail any check (missing feature file, malformed entry,
-    out-of-range timestamp, empty sentence) are skipped and reported in
-    ``CorpusLoadResult.skipped`` instead of aborting the whole load.
+    Records that fail any check (missing or malformed feature file, malformed
+    entry, out-of-range timestamp, empty sentence) are skipped and reported in
+    ``CorpusLoadResult.skipped`` instead of aborting the whole load. So are
+    records whose feature width is not the corpus's most common one (ties go
+    to the width of the first record in id order).
     """
     doc = read_annotations(annotation_path)
     records, skipped = [], []
@@ -342,7 +366,11 @@ def load_corpus(annotation_path, feature_dir, table: EmbeddingTable, config: Dat
             records.append(_load_record(vid, doc[vid], feature_dir, table, config))
         except DataError as exc:
             skipped.append((vid, str(exc)))
-    return CorpusLoadResult(records, skipped)
+    counts = Counter(r.clips.matrix.shape[1] for r in records)
+    width = max(counts, key=counts.get, default=None)  # first maximum = earliest id
+    skipped += [(r.id, f"{r.id}: feature width {r.clips.matrix.shape[1]} differs from "
+                 f"the corpus's {width}") for r in records if r.clips.matrix.shape[1] != width]
+    return CorpusLoadResult([r for r in records if r.clips.matrix.shape[1] == width], skipped)
 
 
 def _load_record(vid, entry, feature_dir, table, config) -> VideoRecord:

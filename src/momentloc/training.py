@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .data import atomic_write
 from .errors import DataError, MomentlocError, TrainingDivergedError
 from .losses import BatchItem, LossConfig, NegativeSample, total_loss
 from .network import ModelParams, _param_table, init_params, lift, params_from_named
@@ -254,7 +255,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
         "tensors": [{"name": k, "shape": list(params[k].shape)} for k in sorted(params)],
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(bytes([_CHECKPOINT_VERSION]))
         fh.write(struct.pack("<I", len(blob)))

@@ -1,8 +1,13 @@
-"""Finite-difference checks for every primitive in the reverse-mode tape."""
+"""Finite-difference checks for every primitive in the reverse-mode tape,
+plus guards on the op contract and on the tape of one ``match``."""
+
+import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from momentloc import SYNTH_GRID, SynthConfig, generate_corpus, init_params, lift, match
 from momentloc import autodiff as ad
 
 
@@ -202,10 +207,69 @@ class TestBackward:
         ad.backward(ad.reshape(t, ()))
         assert np.isfinite(leaf.grad)
 
-    def test_operators(self):
-        a = ad.constant(np.array(2.0))
-        b = ad.constant(np.array(5.0))
-        assert float(a + b) == 7.0
-        assert float(a - b) == -3.0
-        assert float(a * b) == 10.0
-        assert float(-a) == -2.0
+
+def _arr(*shape):
+    return ad.constant(RNG.normal(size=shape))
+
+
+# One node of every public op. Shapes include broadcasting, 1-D and 0-d cases.
+OP_CASES = {
+    "add": lambda: ad.add(_arr(3, 4), _arr(4)),
+    "add_n": lambda: ad.add_n([_arr(2, 3), _arr(2, 3), _arr(2, 3)]),
+    "neg": lambda: ad.neg(_arr(2, 3)),
+    "mul": lambda: ad.mul(_arr(3, 1), _arr(3, 4)),
+    "scale": lambda: ad.scale(_arr(2, 3), 1.5),
+    "rsub_const": lambda: ad.rsub_const(1.0, _arr(3)),
+    "matmul": lambda: ad.matmul(_arr(3, 4), _arr(4, 2)),
+    "matvec": lambda: ad.matvec(_arr(3, 4), _arr(4)),
+    "transpose": lambda: ad.transpose(_arr(2, 5)),
+    "reshape": lambda: ad.reshape(_arr(2, 5), (10,)),
+    "concat_cols": lambda: ad.concat_cols([_arr(3, 2), _arr(3, 1), _arr(3, 4)]),
+    "sigmoid": lambda: ad.sigmoid(_arr(2, 3)),
+    "log": lambda: ad.log(ad.constant(RNG.uniform(0.5, 2.0, size=(2, 3)))),
+    "clamp": lambda: ad.clamp(_arr(4), -0.5, 0.5),
+    "softmax_rows": lambda: ad.softmax_rows(_arr(3, 4), np.array([True, False, True, True])),
+    "segment_max": lambda: ad.segment_max(_arr(6, 3), [(0, 2), (1, 5)]),
+    "max_rows": lambda: ad.max_rows(_arr(4, 3)),
+    "masked_max": lambda: ad.masked_max(_arr(2, 3), np.array([[True, False, True],
+                                                              [False, True, False]])),
+    "pick": lambda: ad.pick(_arr(5), 2),
+}
+
+
+def op_name(node) -> str:
+    """A node's op, named the way the benchmark's tape counters name it."""
+    return "leaf" if node._backward is None else node._backward.__qualname__.split(".")[0]
+
+
+class TestOpContract:
+    def test_table_lists_every_public_op(self):
+        public = {name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                  and not name.startswith("_")}
+        assert set(OP_CASES) == public - {"constant", "parameter", "as_tensor", "backward"}
+
+    @pytest.mark.parametrize("name", sorted(OP_CASES))
+    def test_backward_returns_one_gradient_per_parent(self, name):
+        out = OP_CASES[name]()
+        assert op_name(out) == name
+        grads = list(out._backward(np.asarray(RNG.normal(size=out.value.shape))))
+        assert len(grads) == len(out.parents)
+        assert [np.shape(g) for g in grads] == [p.value.shape for p in out.parents]
+        assert all(p.grad is None for p in out.parents)  # only ad.backward writes .grad
+
+    def test_match_tape_node_counts(self):
+        record = generate_corpus(SynthConfig(num_videos=4, seed=0)).records[0]
+        params = lift(init_params(16, 16, 16, 1, 1, np.random.default_rng(0)))
+        nodes, stack = {}, [match(record, record.paragraph[0], params, SYNTH_GRID).tensor]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.parents)
+        assert len(nodes) == 126
+        assert Counter(op_name(n) for n in nodes.values()) == {
+            "leaf": 36, "matmul": 33, "transpose": 23, "add": 16, "scale": 5,
+            "softmax_rows": 5, "concat_cols": 2, "matvec": 1, "max_rows": 1, "mul": 1,
+            "reshape": 1, "segment_max": 1, "sigmoid": 1,
+        }

@@ -11,7 +11,11 @@ import momentloc
 
 from momentloc import (
     Checkpoint,
+    DataConfig,
     load_checkpoint,
+    load_corpus,
+    load_embeddings,
+    read_features,
     save_checkpoint,
     write_annotations,
     write_features,
@@ -198,6 +202,22 @@ class TestTrainCommand:
                          "--config", cfg])
         assert code == 3
         assert "non-finite loss at epoch" in capsys.readouterr().err
+
+    def test_mixed_feature_widths_train(self, tmp_path):
+        cfg = ini(tmp_path, RUN_INI.replace("num_videos = 6", "num_videos = 8"))
+        data = tmp_path / "data"
+        assert main(["synth", str(data), "--config", cfg]) == 0
+        wide = data / "features" / "synth0003.crmf"
+        frames = read_features(wide)
+        write_features(wide, np.hstack([frames, np.zeros((len(frames), 3), np.float32)]))
+        proc = run_cli("train", str(data), str(tmp_path / "m.ckpt"), "--config", cfg)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "skipping synth0003:" in proc.stderr
+        assert "feature width 11 differs from the corpus's 8" in proc.stderr
+        result = load_corpus(data / "annotations.json", data / "features",
+                             load_embeddings(data / "embeddings.txt"), DataConfig(l_c=16))
+        assert len(result.records) == 7 and result.skip_count == 1
 
 
 class TestEvalCommand:

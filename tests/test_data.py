@@ -157,9 +157,11 @@ class TestWireFormats:
         with pytest.raises(DataError):
             read_features(p)
         write_features(p, np.zeros((2, 3), dtype=np.float32))
-        p.write_bytes(p.read_bytes()[:-4])  # truncated payload
-        with pytest.raises(DataError):
-            read_features(p)
+        raw = p.read_bytes()
+        for n in range(len(raw)):  # truncated header or payload
+            p.write_bytes(raw[:n])
+            with pytest.raises(DataError):
+                read_features(p)
 
     def test_annotations_round_trip(self, tmp_path):
         doc = {
@@ -243,6 +245,34 @@ class TestLoadCorpus:
         result = load_corpus(ann, feat, self.table(), self.CFG)
         assert [r.id for r in result.records] == ["v1"]
         assert result.skip_count == 1
+
+    def test_truncated_feature_file_skipped(self, tmp_path):
+        entries = {vid: {"duration": 5.0, "timestamps": [[0, 2]], "sentences": ["man runs"]}
+                   for vid in ("v1", "v2")}
+        ann, feat = write_fixture_corpus(tmp_path, entries, {"v1": 8, "v2": 2})
+        raw = (feat / "v2.crmf").read_bytes()
+        for n in range(len(raw)):
+            (feat / "v2.crmf").write_bytes(raw[:n])
+            result = load_corpus(ann, feat, self.table(), self.CFG)
+            assert [r.id for r in result.records] == ["v1"]
+            assert [vid for vid, _ in result.skipped] == ["v2"]
+
+    @pytest.mark.parametrize("widths, kept", [
+        ({"a": 5, "b": 3, "c": 3}, ["b", "c"]),  # the most common width wins
+        ({"a": 3, "b": 5}, ["a"]),  # a tie goes to the first id's width
+    ])
+    def test_one_feature_width_per_corpus(self, tmp_path, widths, kept):
+        entries = {vid: {"duration": 5.0, "timestamps": [[0, 2]], "sentences": ["man runs"]}
+                   for vid in widths}
+        ann, feat = write_fixture_corpus(tmp_path, entries, {})
+        for vid, width in widths.items():
+            write_features(feat / f"{vid}.crmf", np.ones((8, width), dtype=np.float32))
+        result = load_corpus(ann, feat, self.table(), self.CFG)
+        assert [r.id for r in result.records] == kept
+        keep = widths[kept[0]]
+        assert result.skipped == tuple(
+            (vid, f"{vid}: feature width {w} differs from the corpus's {keep}")
+            for vid, w in widths.items() if vid not in kept)
 
     def test_timestamp_outside_duration_skipped(self, tmp_path):
         entries = {"v": {"duration": 5.0, "timestamps": [[0, 9]], "sentences": ["man runs"]}}

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import os
 
 import numpy as np
 import pytest
@@ -327,6 +329,20 @@ class TestCheckpointIO:
             cut.write_bytes(raw[:n])
             with pytest.raises(DataError):
                 load_checkpoint(cut)
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path):
+        ckpt = self.make()
+        p = tmp_path / "model.crmc"
+        save_checkpoint(ckpt, p)
+        before = p.read_bytes()
+        params = dict(ckpt.params)
+        last = sorted(params)[-1]
+        params[last] = np.full(params[last].shape, "x")  # the last tensor write fails
+        with pytest.raises(ValueError):
+            save_checkpoint(dataclasses.replace(ckpt, params=params), p)
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.crmc"]
+        assert load_checkpoint(p).epoch == ckpt.epoch
 
     def test_wrong_tensor_shape_named(self, tmp_path):
         p = tmp_path / "model.crmc"
