@@ -1,6 +1,6 @@
 """Train a small model on a synthetic corpus and compare against chance.
 
-Takes about a minute. The corpus plants labelled events into clip
+Takes about 20 seconds on a 2-CPU machine. The corpus plants labelled events into clip
 features; training only ever sees (video, sentence) pairs, never the
 event boundaries, yet recall@0.5 should land around double the random
 baseline. (The acceptance gate runs the bigger 200-video version.)

@@ -79,6 +79,7 @@ from .network import (
     lift,
     localize,
     match,
+    match_pairs,
     params_from_named,
     pool_sentence,
     score_proposals,

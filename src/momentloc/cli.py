@@ -62,8 +62,8 @@ def _load_data_dir(data_dir, config: DataConfig):
             raise DataError(f"{path} does not exist")
     table = load_embeddings(embeddings)
     result = load_corpus(annotations, features, table, config)
-    for vid, reason in result.skipped:
-        print(f"skipping {vid}: {reason}", file=sys.stderr)
+    for _, reason in result.skipped:
+        print(f"skipping {reason}", file=sys.stderr)
     if not result.records:
         raise DataError(f"no usable videos in {data_dir}")
     return result.records, table

@@ -315,7 +315,11 @@ def save_embeddings(path, table: EmbeddingTable):
 
 
 class CorpusLoadResult:
-    """Loaded records plus a per-record skip report; iterates like a list."""
+    """Loaded records plus a per-record skip report; iterates like a list.
+
+    ``skipped`` holds (id, reason) pairs, and every reason starts with the
+    id it names.
+    """
 
     def __init__(self, records, skipped):
         self.records = tuple(records)
@@ -365,7 +369,8 @@ def load_corpus(annotation_path, feature_dir, table: EmbeddingTable, config: Dat
         try:
             records.append(_load_record(vid, doc[vid], feature_dir, table, config))
         except DataError as exc:
-            skipped.append((vid, str(exc)))
+            reason = str(exc)
+            skipped.append((vid, reason if reason.startswith(f"{vid}: ") else f"{vid}: {reason}"))
     counts = Counter(r.clips.matrix.shape[1] for r in records)
     width = max(counts, key=counts.get, default=None)  # first maximum = earliest id
     skipped += [(r.id, f"{r.id}: feature width {r.clips.matrix.shape[1]} differs from "

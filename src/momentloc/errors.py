@@ -32,11 +32,11 @@ class CheckpointMismatchError(MomentlocError):
 
 
 class TrainingDivergedError(MomentlocError):
-    """Non-finite loss encountered; names the offending batch."""
+    """Non-finite loss or gradient encountered; names the offending batch."""
 
     def __init__(self, epoch: int, batch_index: int, video_ids: list[str]):
         super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch_index} "
+            f"non-finite loss or gradient at epoch {epoch}, batch {batch_index} "
             f"(videos: {', '.join(video_ids)})"
         )
         self.epoch = epoch

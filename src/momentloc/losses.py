@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import MomentlocError
-from .network import MatchScores, match
+from .network import MatchScores, match_pairs
 from .segments import GridConfig, ProposalGrid, hull, query_order
 
 EPS = 1e-7
@@ -94,13 +94,17 @@ def bce_loss(p_pos, p_neg_q, p_neg_v) -> Tensor:
 
 
 def joint_probability(scores_j, scores_jp) -> Tensor:
-    """Outer product of two score vectors: entry (k, k') = p^{k,j} p^{k',j'}."""
+    """Outer product of two score vectors: entry (k, k') = p^{k,j} p^{k',j'}.
+
+    Stacked (pairs, L_s) scores give one outer product per row.
+    """
     a = _scores_tensor(scores_j)
     b = _scores_tensor(scores_jp)
-    n, m = a.value.shape[0], b.value.shape[0]
+    n, m = a.value.shape[-1], b.value.shape[-1]
     if n != m:
         raise ValueError("joint probability needs scores over the same grid")
-    return ad.matmul(ad.reshape(a, (n, 1)), ad.reshape(b, (1, m)))
+    lead = a.value.shape[:-1]
+    return ad.matmul(ad.reshape(a, lead + (n, 1)), ad.reshape(b, lead + (1, m)))
 
 
 @dataclass
@@ -142,17 +146,40 @@ def temporal_partition(joint, grid: ProposalGrid, j: int, j_prime: int) -> Tempo
     return TemporalPartition(values, mask, j, j_prime, tensor)
 
 
+def _max_over(rows: Tensor, mask: np.ndarray) -> Tensor:
+    """Per-row max of a 2-D tensor over the True entries of ``mask``."""
+    return ad.max_rows(ad.transpose(rows), mask.T)
+
+
+def _contrast_sum(rows: Tensor, pos_mask: np.ndarray, neg_mask: np.ndarray) -> Tensor:
+    """Sum over rows of -log(max positive) - log(1 - max negative).
+
+    ``rows`` is a 2-D tensor of probabilities; a row with no negative entry
+    contributes its first term only.
+    """
+    loss = ad.sum_all(ad.neg(ad.log(_clamped(_max_over(rows, pos_mask)))))
+    has_neg = neg_mask.any(axis=1)
+    if has_neg.any():
+        keep = np.flatnonzero(has_neg)
+        if len(keep) < len(has_neg):
+            rows, neg_mask = ad.pick(rows, keep), neg_mask[keep]
+        worst = _max_over(rows, neg_mask)
+        loss = ad.add(loss, ad.sum_all(ad.neg(ad.log(ad.rsub_const(1.0, _clamped(worst))))))
+    return loss
+
+
+def _tmp_sum(joint: Tensor, consistent: np.ndarray) -> Tensor:
+    """tmp_loss summed over stacked (n, L_s, L_s) joints and P+ masks."""
+    flat = consistent.reshape(len(consistent), -1)
+    if not flat.any(axis=1).all():
+        raise MomentlocError("no temporally consistent proposal pair exists")
+    return _contrast_sum(ad.reshape(joint, flat.shape), flat, ~flat)
+
+
 def tmp_loss(partition: TemporalPartition) -> Tensor:
     """-log(max P+) - log(1 - max P-); an empty P- contributes nothing."""
-    mask = partition.consistent_mask
-    if not mask.any():
-        raise MomentlocError("no temporally consistent proposal pair exists")
     jt = partition.tensor if partition.tensor is not None else ad.constant(partition.joint)
-    loss = ad.neg(ad.log(_clamped(ad.masked_max(jt, mask))))
-    if not mask.all():
-        worst_neg = ad.masked_max(jt, ~mask)
-        loss = ad.add(loss, ad.neg(ad.log(ad.rsub_const(1.0, _clamped(worst_neg)))))
-    return loss
+    return _tmp_sum(jt, partition.consistent_mask[None])
 
 
 def concat_queries(qa, qb, max_concat: int = 40):
@@ -197,6 +224,14 @@ def semantic_partition(scores: MatchScores, hull_seg, tau: float) -> SemanticPar
     )
 
 
+def _smt_sum(scores: Tensor, parts) -> Tensor:
+    """smt_loss summed over stacked (n, L_s) concatenated-query scores and
+    their semantic partitions."""
+    pos = np.zeros(scores.shape, dtype=bool)
+    pos[np.arange(len(parts)), [part.positive[0] for part in parts]] = True
+    return _contrast_sum(scores, pos, np.stack([part.negative_mask for part in parts]))
+
+
 def smt_loss(video, qa, qb, best_pair, params, tau: float, grid_config: GridConfig,
              max_concat: int = 40) -> Tensor:
     """Semantic-union loss for one query pair.
@@ -205,15 +240,14 @@ def smt_loss(video, qa, qb, best_pair, params, tau: float, grid_config: GridConf
     proposal most overlapping hull(best_pair) outscore every proposal with
     hull-IoU below tau.
     """
-    cq = concat_queries(qa, qb, max_concat)
-    ms = match(video, cq, params, grid_config)
-    part = semantic_partition(ms, hull(best_pair[0], best_pair[1]), tau)
-    st = _scores_tensor(ms)
-    loss = ad.neg(ad.log(_clamped(ad.pick(st, part.positive[0]))))
-    if part.negative_mask.any():
-        worst_neg = ad.masked_max(st, part.negative_mask)
-        loss = ad.add(loss, ad.neg(ad.log(ad.rsub_const(1.0, _clamped(worst_neg)))))
-    return loss
+    ms = match_pairs([(video, concat_queries(qa, qb, max_concat))], params, grid_config)
+    part = semantic_partition(_row(ms, 0), hull(best_pair[0], best_pair[1]), tau)
+    return _smt_sum(ms.tensor, [part])
+
+
+def _row(ms: MatchScores, i: int) -> MatchScores:
+    """Row i of stacked scores, values only."""
+    return MatchScores(ms.scores[i], ms.grid)
 
 
 def _best_consistent_pair(partition: TemporalPartition, grid: ProposalGrid):
@@ -250,59 +284,71 @@ class LossBreakdown:
         return float(self.total)
 
 
-def _mean(terms) -> Tensor:
-    return ad.scale(ad.add_n(terms), 1.0 / len(terms))
-
-
 def total_loss(batch, params, config: LossConfig) -> LossBreakdown:
     """Mean BCE over all video-query pairs plus mean temporal and semantic
     terms over the videos that supply a query pair.
 
+    Every (video, query) pair of the batch is scored in one stacked forward
+    (:func:`match_pairs`), and each term reads its rows of those scores.
     Single-sentence videos contribute only their BCE term; each component
     mean divides by the number of contributing terms. Disabled components
     are skipped entirely.
     """
     if not batch:
         raise MomentlocError("empty batch")
-    bce_terms, tmp_terms, smt_terms = [], [], []
-    consistent_flags = []
+    pairs = {}  # (id(video), id(query)) -> (row, video, query)
+
+    def row(video, query) -> int:
+        return pairs.setdefault((id(video), id(query)), (len(pairs), video, query))[0]
+
+    bce_rows, tmp_rows, smt_rows = [], [], []
     for item in batch:
         queries = [(item.query_a, item.neg_a)]
         if item.query_b is not None:
             queries.append((item.query_b, item.neg_b))
-        pos_scores = [match(item.video, q, params, config.grid) for q, _ in queries]
         if config.use_bce:
-            for (q, negs), ms in zip(queries, pos_scores):
-                p_pos = video_score(ms)
-                p_neg_v = video_score(match(negs.neg_video, q, params, config.grid))
-                p_neg_q = video_score(match(item.video, negs.neg_query, params, config.grid))
-                bce_terms.append(bce_loss(p_pos, p_neg_q, p_neg_v))
+            bce_rows += [(row(item.video, q), row(item.video, negs.neg_query),
+                          row(negs.neg_video, q)) for q, negs in queries]
         if item.query_b is not None and (config.use_tmp or config.use_smt):
-            joint = joint_probability(pos_scores[0], pos_scores[1])
-            part = temporal_partition(joint, pos_scores[0].grid,
-                                      item.query_a.position, item.query_b.position)
-            flat_best = int(part.joint.argmax())
-            consistent_flags.append(bool(part.consistent_mask.flat[flat_best]))
-            if config.use_tmp:
-                tmp_terms.append(tmp_loss(part))
+            tmp_rows.append((item, row(item.video, item.query_a), row(item.video, item.query_b)))
             if config.use_smt:
-                seg_a, seg_b, _ = _best_consistent_pair(part, pos_scores[0].grid)
-                smt_terms.append(smt_loss(item.video, item.query_a, item.query_b,
-                                          (seg_a, seg_b), params, config.tau, config.grid,
-                                          config.max_concat_len))
-    components = []
-    if bce_terms:
-        components.append(_mean(bce_terms))
-    if tmp_terms:
-        components.append(_mean(tmp_terms))
-    if smt_terms:
-        components.append(_mean(smt_terms))
-    total = ad.add_n(components) if components else ad.constant(0.0)
+                cq = concat_queries(item.query_a, item.query_b, config.max_concat_len)
+                smt_rows.append(row(item.video, cq))
+    if not pairs:  # every component is switched off
+        return LossBreakdown(ad.constant(0.0), 0.0, 0.0, 0.0, None)
+    ms = match_pairs([(v, q) for _, v, q in pairs.values()], params, config.grid)
+    scores = ms.tensor
+
+    components = {}
+    if bce_rows:
+        pos, neg_q, neg_v = (np.array(c) for c in zip(*bce_rows))
+        p_video = ad.max_rows(ad.transpose(scores))
+        terms = bce_loss(ad.pick(p_video, pos), ad.pick(p_video, neg_q), ad.pick(p_video, neg_v))
+        components["bce"] = ad.scale(ad.sum_all(terms), 1.0 / len(bce_rows))
+    consistent_flags = []
+    if tmp_rows:
+        items, rows_a, rows_b = zip(*tmp_rows)
+        joint = joint_probability(ad.pick(scores, np.array(rows_a)),
+                                  ad.pick(scores, np.array(rows_b)))
+        parts = [temporal_partition(values, ms.grid, it.query_a.position, it.query_b.position)
+                 for values, it in zip(joint.value, items)]
+        consistent_flags = [bool(part.consistent_mask.flat[int(part.joint.argmax())])
+                            for part in parts]
+        if config.use_tmp:
+            masks = np.stack([part.consistent_mask for part in parts])
+            components["tmp"] = ad.scale(_tmp_sum(joint, masks), 1.0 / len(parts))
+        if config.use_smt:
+            sem = []
+            for part, r in zip(parts, smt_rows):
+                seg_a, seg_b, _ = _best_consistent_pair(part, ms.grid)
+                sem.append(semantic_partition(_row(ms, r), hull(seg_a, seg_b), config.tau))
+            components["smt"] = ad.scale(_smt_sum(ad.pick(scores, np.array(smt_rows)), sem),
+                                         1.0 / len(sem))
     return LossBreakdown(
-        total=total,
-        bce=float(_mean(bce_terms)) if bce_terms else 0.0,
-        tmp=float(_mean(tmp_terms)) if tmp_terms else 0.0,
-        smt=float(_mean(smt_terms)) if smt_terms else 0.0,
+        total=ad.add_n(list(components.values())),
+        bce=float(components.get("bce", 0.0)),
+        tmp=float(components.get("tmp", 0.0)),
+        smt=float(components.get("smt", 0.0)),
         order_consistent_fraction=(
             sum(consistent_flags) / len(consistent_flags) if consistent_flags else None
         ),

@@ -168,34 +168,63 @@ def _tokens_of(query):
     return query.tokens if hasattr(query, "tokens") else query
 
 
-def _encode_t(video, query, p, grid_config: GridConfig):
-    """Tape-level pipeline up to cross-attended proposal and word features;
-    returns (proposal tensor, word tensor, proposal grid)."""
-    clips = _clips_of(video)
-    grid = grid_config.grid_for(clips.l_c)
-    mask = None
-    if clips.valid_count < clips.l_c:
-        mask = np.arange(clips.l_c) < clips.valid_count
-    v = _affine(clips.matrix, p["video_proj.w"], p["video_proj.b"])
+def _distinct(objs) -> tuple:
+    """(the distinct objects by identity, in first-seen order; each object's slot)."""
+    slot = {}
+    for obj in objs:
+        slot.setdefault(id(obj), (len(slot), obj))
+    return [obj for _, obj in slot.values()], np.array([slot[id(o)][0] for o in objs])
+
+
+def _encode_t(pairs, p, grid_config: GridConfig):
+    """Tape-level pipeline up to cross-attended proposal and word features
+    for a list of (video, query) pairs, stacked on a leading pair axis.
+
+    The video stage (projection, v2v, proposal pooling) runs once per
+    distinct video and the query stage (projection, q2q) once per distinct
+    query; word rows are zero-padded to the longest query and masked.
+    Returns (proposal tensor P x L_s x D, word tensor P x L_w x D, word mask
+    P x L_w, proposal grid).
+    """
+    clip_seqs, video_of = _distinct([_clips_of(v) for v, _ in pairs])
+    token_seqs, query_of = _distinct([_tokens_of(q) for _, q in pairs])
+    l_c = clip_seqs[0].l_c
+    if any(c.l_c != l_c for c in clip_seqs):
+        raise DataError("videos scored together must share one l_c (one proposal grid)")
+    grid = grid_config.grid_for(l_c)
+    valid = np.array([c.valid_count for c in clip_seqs])
+    clip_mask = None
+    if (valid < l_c).any():
+        clip_mask = (np.arange(l_c) < valid[:, None])[:, None, :]
+    v = _affine(np.stack([c.matrix for c in clip_seqs]), p["video_proj.w"], p["video_proj.b"])
     for unit in _stack(p, "v2v"):
-        v, _ = _attend(v, v, unit, mask)
-    q = _affine(_tokens_of(query).matrix, p["query_proj.w"], p["query_proj.b"])
-    for unit in _stack(p, "q2q"):
-        q, _ = _attend(q, q, unit)
+        v, _ = _attend(v, v, unit, clip_mask)
     props = ad.segment_max(v, np.stack((grid.starts, grid.ends), axis=1))
+
+    lengths = np.array([t.matrix.shape[0] for t in token_seqs])
+    words = np.zeros((len(token_seqs), lengths.max(), token_seqs[0].matrix.shape[1]))
+    for row, t in zip(words, token_seqs):
+        row[: len(t.matrix)] = t.matrix
+    word_mask = np.arange(words.shape[1]) < lengths[:, None]
+    padded = not word_mask.all()
+    q = _affine(words, p["query_proj.w"], p["query_proj.b"])
+    for unit in _stack(p, "q2q"):
+        q, _ = _attend(q, q, unit, word_mask[:, None, :] if padded else None)
+
+    props, q, word_mask = ad.pick(props, video_of), ad.pick(q, query_of), word_mask[query_of]
     # Cross-attention updates both sides simultaneously from the pre-update
     # features, one layer at a time.
     for qv_unit, vq_unit in zip(_stack(p, "q2v"), _stack(p, "v2q")):
-        new_props, _ = _attend(props, q, qv_unit)
+        new_props, _ = _attend(props, q, qv_unit, word_mask[:, None, :] if padded else None)
         new_q, _ = _attend(q, props, vq_unit)
         props, q = new_props, new_q
-    return props, q, grid
+    return props, q, word_mask, grid
 
 
 def encode(video, query, params, grid_config: GridConfig):
     """Run the encoder; returns (proposal_feats L_s x D, word_feats L_w x D)."""
-    props, q, _ = _encode_t(video, query, params, grid_config)
-    return props.value, q.value
+    props, q, _, _ = _encode_t([(video, query)], params, grid_config)
+    return props.value[0], q.value[0]
 
 
 def pool_sentence(word_feats: np.ndarray) -> np.ndarray:
@@ -207,9 +236,13 @@ def pool_sentence(word_feats: np.ndarray) -> np.ndarray:
 
 
 def _fuse_rows_t(props: Tensor, sent: Tensor, p) -> Tensor:
-    """Per-proposal fusion with the sentence vector: (S+Q) || S*Q || FC(S||Q)."""
-    n_rows, d = props.shape
-    q_mat = ad.add(ad.constant(np.zeros((n_rows, 1))), ad.reshape(sent, (1, d)))
+    """Per-proposal fusion with the sentence vector: (S+Q) || S*Q || FC(S||Q).
+
+    ``props`` is (..., rows, D) and ``sent`` (..., D), one sentence vector
+    per leading index.
+    """
+    n_rows, d = props.shape[-2:]
+    q_mat = ad.add(ad.constant(np.zeros((n_rows, 1))), ad.reshape(sent, sent.shape[:-1] + (1, d)))
     both = ad.concat_cols([props, q_mat])
     return ad.concat_cols([
         ad.add(props, q_mat),
@@ -239,15 +272,25 @@ def score_proposals(fused: np.ndarray, params, grid: ProposalGrid | None = None)
     return MatchScores(scores.value.copy(), grid, scores)
 
 
-def match(video, query, params, grid_config: GridConfig) -> MatchScores:
-    """Proposal-query matching scores for one video-query pair.
+def match_pairs(pairs, params, grid_config: GridConfig) -> MatchScores:
+    """Proposal-query matching scores for many (video, query) pairs in one
+    stacked forward; ``scores`` and ``tensor`` are (pairs, L_s).
 
-    ``params`` holds arrays or, for a backward pass, the leaves of ``lift``.
+    Every video must have the same ``l_c``. ``params`` holds arrays or, for
+    a backward pass, the leaves of ``lift``.
     """
-    props, q, grid = _encode_t(video, query, params, grid_config)
-    fused = _fuse_rows_t(props, ad.max_rows(q), params)
-    scores = _score_t(fused, params)
+    props, q, word_mask, grid = _encode_t(list(pairs), params, grid_config)
+    sent = ad.max_rows(q, word_mask[:, :, None])
+    scores = _score_t(_fuse_rows_t(props, sent, params), params)
     return MatchScores(scores.value.copy(), grid, scores)
+
+
+def match(video, query, params, grid_config: GridConfig) -> MatchScores:
+    """Proposal-query matching scores for one video-query pair: the
+    one-pair case of :func:`match_pairs`."""
+    stacked = match_pairs([(video, query)], params, grid_config)
+    tensor = ad.pick(stacked.tensor, 0)
+    return MatchScores(tensor.value.copy(), stacked.grid, tensor)
 
 
 def localize(video, query, params, grid_config: GridConfig) -> LocalizeResult:

@@ -2,9 +2,11 @@
 
 Everything is driven by a single seeded generator in a fixed draw order
 (parameter init first, then batches), so a (corpus, config, seed) triple
-maps to a bit-identical checkpoint and metrics log. Ground-truth boundaries
-are never read here; the audit counter on ``Sentence.gt_segment`` stays
-untouched by ``train``.
+maps to a bit-identical checkpoint and metrics log for a given BLAS thread
+count. (A step's weight gradients are GEMMs over every row of the batch; a
+multi-threaded BLAS may split such a sum, which changes its last bits.)
+Ground-truth boundaries are never read here; the audit counter on
+``Sentence.gt_segment`` stays untouched by ``train``.
 """
 
 from __future__ import annotations
@@ -178,22 +180,37 @@ def metrics_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _one_shape(records) -> tuple:
+    """The (l_c, feature width, token width) every record must share."""
+    first = records[0]
+    want = (first.clips.l_c, first.clips.matrix.shape[1],
+            first.paragraph[0].tokens.matrix.shape[1])
+    for rec in records:
+        for sent in rec.paragraph:
+            got = (rec.clips.l_c, rec.clips.matrix.shape[1], sent.tokens.matrix.shape[1])
+            for name, g, w in zip(("l_c", "feature width", "token width"), got, want):
+                if g != w:
+                    raise DataError(f"{rec.id}: {name} {g} differs from the first record's "
+                                    f"({first.id}) {w}")
+    return want
+
+
 def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Checkpoint:
     """Run the full optimisation loop over the given records.
 
     Each epoch draws ceil(len(corpus) / batch_videos) independent batches;
-    every batch does one forward/backward/Adam step. A non-finite loss
-    aborts with the offending batch named. ``extra_config`` entries (for
-    example the clip-building parameters of the data pipeline) are merged
-    into the checkpoint's config snapshot so evaluation can reload
-    compatible data.
+    every batch does one forward/backward/Adam step. A non-finite loss or
+    gradient aborts, before Adam touches the parameters, with the offending
+    batch named. Every record must share one ``l_c``, feature width and
+    token width, since a step scores the whole batch in one stacked
+    forward. ``extra_config`` entries (for example the clip-building
+    parameters of the data pipeline) are merged into the checkpoint's
+    config snapshot so evaluation can reload compatible data.
     """
     records = list(corpus)
     if not records:
         raise DataError("empty corpus")
-    d_v = records[0].clips.matrix.shape[1]
-    d_t = records[0].paragraph[0].tokens.matrix.shape[1]
-    l_c = records[0].clips.l_c
+    l_c, d_v, d_t = _one_shape(records)
     rng = np.random.default_rng(config.seed)
     params = init_params(config.d, d_v, d_t, config.depth_self, config.depth_cross, rng)
     adam = Adam(params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
@@ -214,6 +231,8 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
                 raise TrainingDivergedError(epoch, b, [it.video.id for it in batch])
             ad.backward(breakdown.total)
             grads = {name: leaf.grad for name, leaf in lifted.items()}
+            if not all(g is None or np.isfinite(g).all() for g in grads.values()):
+                raise TrainingDivergedError(epoch, b, [it.video.id for it in batch])
             if config.grad_clip > 0:
                 _clip_grads(grads, config.grad_clip)
             adam.step(params, grads)

@@ -4,7 +4,7 @@ Each test prints one ``ACCEPTANCE n <label>: PASS/FAIL`` line (run with
 ``pytest tests/test_acceptance.py -s`` to watch them stream). Checks 5-7
 share one block of nine training runs (three loss arms x three seeds) on
 the default 200-video synthetic corpus, in at most two worker processes;
-expect 6.5 to 8 minutes for the full gate on a 2-CPU machine.
+expect about 2 minutes for the full gate on a 2-CPU machine.
 """
 
 import math
@@ -13,6 +13,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,7 +101,12 @@ def trend():
     keys = [(arm, seed) for arm in reversed(ARMS) for seed in SEEDS]
     workers = min(2, os.cpu_count() or 1)
     context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    # One BLAS thread per worker: BLAS threads of two workers sharing the
+    # CPUs spin against each other, which doubled the runs' wall time.
+    one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}
+    with mock.patch.dict(os.environ, one_thread), \
+            ProcessPoolExecutor(workers, mp_context=context) as pool:
         results = dict(zip(keys, pool.map(_trend_run, *zip(*keys))))
     reports = {key: report for key, (report, _) in results.items()}
     timings = {arm: sum(results[arm, s][1] for s in SEEDS) for arm in ARMS}

@@ -187,6 +187,74 @@ class TestReductions:
         check_op(lambda t: ad.pick(t, 4), x)
 
 
+class TestStacked:
+    """Ops with a leading batch axis agree with their 2-D form slice by slice
+    and pass finite differences."""
+
+    def test_matmul_shared_and_batched(self):
+        x, w, y = RNG.normal(size=(3, 4, 5)), RNG.normal(size=(5, 2)), RNG.normal(size=(3, 5, 2))
+        shared = ad.matmul(ad.constant(x), ad.constant(w)).value
+        batched = ad.matmul(ad.constant(x), ad.constant(y)).value
+        for i in range(3):
+            assert np.allclose(shared[i], x[i] @ w, atol=1e-12)
+            assert np.allclose(batched[i], x[i] @ y[i], atol=1e-12)
+        check_op(lambda t: total(ad.matmul(t, ad.constant(w))), x)
+        check_op(lambda t: total(ad.matmul(ad.constant(x), t)), w)
+        check_op(lambda t: total(ad.matmul(t, ad.constant(y))), x)
+        check_op(lambda t: total(ad.matmul(ad.constant(x), t)), y)
+
+    def test_matvec_transpose_concat(self):
+        v, x = RNG.normal(size=4), RNG.normal(size=(2, 3, 4))
+        check_op(lambda t: total(ad.matvec(t, ad.constant(v))), x)
+        check_op(lambda t: total(ad.matvec(ad.constant(x), t)), v)
+        assert np.array_equal(ad.transpose(ad.constant(x)).value[1], x[1].T)
+        check_op(lambda t: total(ad.transpose(t)), x)
+        b = RNG.normal(size=(2, 3, 1))
+        check_op(lambda t: total(ad.concat_cols([t, ad.constant(b)])), x)
+
+    def test_softmax_mask_per_batch_entry(self):
+        x = RNG.normal(size=(2, 3, 4))
+        mask = np.array([[[True, True, False, False]], [[True, True, True, False]]])
+        out = ad.softmax_rows(ad.constant(x), mask).value
+        for i in range(2):
+            assert np.allclose(out[i], ad.softmax_rows(ad.constant(x[i]), mask[i, 0]).value,
+                               atol=1e-12)
+        check_op(lambda t: total(ad.softmax_rows(t, mask)), x)
+        with pytest.raises(ValueError):
+            ad.softmax_rows(ad.constant(x), mask & np.array([True, False])[:, None, None])
+
+    def test_segment_max_per_window_size(self):
+        x = RNG.normal(size=(3, 7, 2))
+        segs = [(0, 3), (2, 5), (4, 7), (0, 4), (3, 7), (5, 6)]
+        out = ad.segment_max(ad.constant(x), segs).value
+        for i in range(3):
+            assert np.array_equal(out[i], ad.segment_max(ad.constant(x[i]), segs).value)
+        check_op(lambda t: total(ad.segment_max(t, segs)), x)
+
+    def test_max_rows_masked(self):
+        x = RNG.normal(size=(2, 4, 3))
+        mask = np.array([[True, True, False, False], [True, False, False, False]])[:, :, None]
+        out = ad.max_rows(ad.constant(x), mask).value
+        assert np.array_equal(out, np.stack([x[0, :2].max(axis=0), x[1, 0]]))
+        check_op(lambda t: total(ad.max_rows(t, mask)), x)
+        with pytest.raises(ValueError):
+            ad.max_rows(ad.constant(x), np.zeros((2, 4, 1), dtype=bool))
+
+    def test_pick_gathers_rows_with_repeats(self):
+        x = RNG.normal(size=(3, 2, 2))
+        index = np.array([2, 0, 2, 2])
+        assert np.array_equal(ad.pick(ad.constant(x), index).value, x[index])
+        check_op(lambda t: total(ad.pick(t, index)), x)
+        leaf = ad.parameter(x)
+        ad.backward(ad.sum_all(ad.pick(leaf, index)))
+        assert np.array_equal(leaf.grad[:, 0, 0], [1.0, 0.0, 3.0])
+
+    def test_sum_all(self):
+        x = RNG.normal(size=(2, 3))
+        assert ad.sum_all(ad.constant(x)).value == pytest.approx(x.sum(), abs=1e-12)
+        check_op(lambda t: ad.sum_all(ad.mul(t, t)), x)
+
+
 class TestBackward:
     def test_requires_scalar_root(self):
         with pytest.raises(ValueError):
@@ -212,7 +280,8 @@ def _arr(*shape):
     return ad.constant(RNG.normal(size=shape))
 
 
-# One node of every public op. Shapes include broadcasting, 1-D and 0-d cases.
+# One node of every public op, keyed by op name; "op/variant" keys add more
+# cases of one op. Shapes include broadcasting, 1-D and 0-d cases.
 OP_CASES = {
     "add": lambda: ad.add(_arr(3, 4), _arr(4)),
     "add_n": lambda: ad.add_n([_arr(2, 3), _arr(2, 3), _arr(2, 3)]),
@@ -234,6 +303,19 @@ OP_CASES = {
     "masked_max": lambda: ad.masked_max(_arr(2, 3), np.array([[True, False, True],
                                                               [False, True, False]])),
     "pick": lambda: ad.pick(_arr(5), 2),
+    "sum_all": lambda: ad.sum_all(_arr(2, 3)),
+    # Stacked cases: a leading batch axis on every op that takes one.
+    "matmul/shared": lambda: ad.matmul(_arr(2, 3, 4), _arr(4, 5)),
+    "matmul/batched": lambda: ad.matmul(_arr(2, 3, 4), _arr(2, 4, 5)),
+    "matvec/stacked": lambda: ad.matvec(_arr(2, 3, 4), _arr(4)),
+    "transpose/stacked": lambda: ad.transpose(_arr(2, 3, 5)),
+    "concat_cols/stacked": lambda: ad.concat_cols([_arr(2, 3, 2), _arr(2, 3, 1)]),
+    "softmax_rows/stacked": lambda: ad.softmax_rows(
+        _arr(2, 3, 4), np.array([[[True, False, True, True]], [[False, True, True, False]]])),
+    "segment_max/stacked": lambda: ad.segment_max(_arr(2, 6, 3), [(0, 2), (1, 5), (4, 6)]),
+    "max_rows/stacked": lambda: ad.max_rows(_arr(2, 4, 3), np.array(
+        [[True, True, False, True], [True, False, False, False]])[:, :, None]),
+    "pick/gather": lambda: ad.pick(_arr(3, 2, 4), np.array([1, 1, 0, 2])),
 }
 
 
@@ -247,12 +329,13 @@ class TestOpContract:
         public = {name for name, fn in vars(ad).items()
                   if inspect.isfunction(fn) and fn.__module__ == ad.__name__
                   and not name.startswith("_")}
-        assert set(OP_CASES) == public - {"constant", "parameter", "as_tensor", "backward"}
+        ops = {name.split("/")[0] for name in OP_CASES}
+        assert ops == public - {"constant", "parameter", "as_tensor", "backward"}
 
     @pytest.mark.parametrize("name", sorted(OP_CASES))
     def test_backward_returns_one_gradient_per_parent(self, name):
         out = OP_CASES[name]()
-        assert op_name(out) == name
+        assert op_name(out) == name.split("/")[0]
         grads = list(out._backward(np.asarray(RNG.normal(size=out.value.shape))))
         assert len(grads) == len(out.parents)
         assert [np.shape(g) for g in grads] == [p.value.shape for p in out.parents]
@@ -267,9 +350,11 @@ class TestOpContract:
             if id(node) not in nodes:
                 nodes[id(node)] = node
                 stack.extend(node.parents)
-        assert len(nodes) == 126
+        # the one-pair case of the stacked forward: three gathers (proposals,
+        # words, the score row) over the tape of a single-pair forward
+        assert len(nodes) == 129
         assert Counter(op_name(n) for n in nodes.values()) == {
             "leaf": 36, "matmul": 33, "transpose": 23, "add": 16, "scale": 5,
-            "softmax_rows": 5, "concat_cols": 2, "matvec": 1, "max_rows": 1, "mul": 1,
-            "reshape": 1, "segment_max": 1, "sigmoid": 1,
+            "softmax_rows": 5, "pick": 3, "concat_cols": 2, "matvec": 1, "max_rows": 1,
+            "mul": 1, "reshape": 1, "segment_max": 1, "sigmoid": 1,
         }

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -379,6 +380,25 @@ class TestTotalLoss:
         part = temporal_partition(joint, ms_a.grid, 0, 1)
         flag = bool(part.consistent_mask.flat[int(part.joint.argmax())])
         assert out.order_consistent_fraction == (1.0 if flag else 0.0)
+
+    def test_one_stacked_forward_per_batch(self):
+        """The tape is sized by layers: more items add no nodes, and each
+        video is pooled into proposals once, by one segment_max node."""
+        params = tiny_params(3, 2, 2, seed=37)
+        videos = [pair_video(v, 13 + i) for i, v in enumerate("abcdef")]
+        counts = []
+        for n in (2, 6):
+            items = [make_item(videos[i], videos[(i + 1) % n]) for i in range(n)]
+            nodes, stack = {}, [total_loss(items, params, self.CFG).total]
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes:
+                    nodes[id(node)] = node
+                    stack.extend(node.parents)
+            counts.append(Counter(node._backward.__qualname__.split(".")[0]
+                                  for node in nodes.values() if node._backward is not None))
+        assert counts[0] == counts[1]
+        assert counts[0]["segment_max"] == 1
 
     def test_empty_batch_rejected(self):
         with pytest.raises(MomentlocError):

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import make_record, scalar_attention_oracle, tiny_params, token_seq
 from momentloc import (
+    DataError,
     GridConfig,
     attention_unit,
     clips_to_seconds,
@@ -14,10 +15,12 @@ from momentloc import (
     lift,
     localize,
     match,
+    match_pairs,
     pool_sentence,
     score_proposals,
 )
 from momentloc import autodiff as ad
+from momentloc.losses import concat_queries
 
 GRID = GridConfig((2, 4), 2)
 
@@ -306,6 +309,39 @@ class TestMatch:
         a = match(video, query, params, GRID).scores
         b = match(video, query, params, GRID).scores
         assert np.array_equal(a, b)
+
+
+class TestMatchPairs:
+    def test_rows_equal_single_pair_match(self):
+        rng = np.random.default_rng(23)
+        full, _, params = rig(d=4, d_v=3, d_t=2, seed=23)
+        padded, _, _ = rig(d=4, d_v=3, d_t=2, valid=5, seed=24)
+        one, five = token_seq(rng.normal(size=(1, 2))), token_seq(rng.normal(size=(5, 2)))
+        cut = concat_queries(five, five, max_concat=7)  # 10 rows cut to 7
+        assert padded.clips.valid_count < padded.clips.l_c and len(cut) == 7
+        pairs = [(full, one), (full, five), (padded, one), (padded, cut), (full, cut),
+                 (full, one)]
+        stacked = match_pairs(pairs, params, GRID)
+        assert stacked.scores.shape == (len(pairs), len(GRID.grid_for(8)))
+        for row, (video, query) in zip(stacked.scores, pairs):
+            assert np.allclose(row, match(video, query, params, GRID).scores, rtol=0, atol=1e-12)
+        # The gradient of the summed rows is the sum of the single-pair gradients.
+        lifted = lift(params)
+        ad.backward(ad.sum_all(match_pairs(pairs, lifted, GRID).tensor))
+        want = {name: np.zeros_like(arr) for name, arr in params.items()}
+        for video, query in pairs:
+            single = lift(params)
+            ad.backward(ad.sum_all(match(video, query, single, GRID).tensor))
+            for name, leaf in single.items():
+                want[name] += leaf.grad
+        for name, leaf in lifted.items():
+            assert np.allclose(leaf.grad, want[name], rtol=0, atol=1e-12), name
+
+    def test_one_grid_per_stack(self):
+        short, query, params = rig(l_c=8, seed=25)
+        long, _, _ = rig(l_c=12, seed=26)
+        with pytest.raises(DataError):
+            match_pairs([(short, query), (long, query)], params, GRID)
 
 
 class TestLocalize:

@@ -233,6 +233,50 @@ class TestTrain:
         assert set(err.video_ids) <= {r.id for r in recs}
         assert "epoch 0" in str(err)
 
+    def test_non_finite_gradient_stops_before_adam(self, monkeypatch):
+        lifted, initial = [], []
+        real_lift, real_init, real_backward = training.lift, training.init_params, ad.backward
+
+        def recording_init(*args):
+            params = real_init(*args)
+            initial.append((params, {k: v.copy() for k, v in params.items()}))
+            return params
+
+        def recording_lift(params):
+            lifted.append(real_lift(params))
+            return lifted[-1]
+
+        def poisoned_backward(root):
+            real_backward(root)
+            leaf = lifted[-1]["fusion.w"]
+            leaf.grad = leaf.grad.copy()
+            leaf.grad.flat[3] = np.nan
+
+        monkeypatch.setattr(training, "init_params", recording_init)
+        monkeypatch.setattr(training, "lift", recording_lift)
+        monkeypatch.setattr(training.ad, "backward", poisoned_backward)
+        recs = tiny_corpus(4)
+        with pytest.raises(TrainingDivergedError) as exc:
+            train(recs, tiny_train_config())
+        err = exc.value
+        assert (err.epoch, err.batch_index) == (0, 0)
+        assert "non-finite loss or gradient at epoch 0, batch 0" in str(err)
+        assert err.video_ids and set(err.video_ids) <= {r.id for r in recs}
+        (params, before), = initial
+        assert all(np.array_equal(params[k], before[k]) for k in before)
+
+    @pytest.mark.parametrize("change, named", [
+        (dict(l_c=24), "l_c 24 differs from the first record's"),
+        (dict(d_v=6), "feature width 6 differs from the first record's"),
+        (dict(d_t=5), "token width 5 differs from the first record's"),
+    ])
+    def test_mixed_shapes_rejected(self, change, named):
+        odd = tiny_corpus(2, seed=1, **change)
+        for rec in odd:
+            rec.id = f"odd_{rec.id}"
+        with pytest.raises(DataError, match=f"odd_synth0000: {named} \\(synth0000\\)"):
+            train(tiny_corpus(3) + odd, tiny_train_config())
+
     def test_extra_config_lands_in_snapshot(self):
         recs = tiny_corpus(4)
         ckpt = train(recs, tiny_train_config(), {"pool_span": 3})
