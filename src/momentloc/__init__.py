@@ -78,6 +78,7 @@ from .network import (
     init_params,
     lift,
     localize,
+    localize_pairs,
     match,
     match_pairs,
     params_from_named,

@@ -25,7 +25,7 @@ import numpy as np
 from .data import filter_split
 from .errors import CheckpointMismatchError, DataError, PredictionsMismatchError
 from .losses import concat_queries
-from .network import localize
+from .network import localize_pairs
 from .segments import hull, iou, order_relation
 from .training import Checkpoint, TrainConfig, grid_from_snapshot
 
@@ -59,7 +59,7 @@ def _check_compatible(records, checkpoint: Checkpoint, split: str | None = None)
 
 def _params64(checkpoint: Checkpoint) -> dict:
     """The float32 checkpoint tensors cast to float64 once, so that each
-    ``localize`` call does not cast them again."""
+    stacked forward does not cast them again."""
     return {name: arr.astype(np.float64) for name, arr in checkpoint.params.items()}
 
 
@@ -70,9 +70,14 @@ def predict_sentences(records, checkpoint: Checkpoint) -> dict:
 
 
 def _predict(records, checkpoint: Checkpoint, params) -> dict:
+    """Localise each record's sentences in one stacked forward per record."""
     grid_config = grid_from_snapshot(checkpoint.config)
-    return {(rec.id, sent.position): localize(rec, sent, params, grid_config).seconds
-            for rec in records for sent in rec.paragraph}
+    preds = {}
+    for rec in records:
+        found = localize_pairs([(rec, sent) for sent in rec.paragraph], params, grid_config)
+        preds.update(((rec.id, sent.position), res.seconds)
+                     for sent, res in zip(rec.paragraph, found))
+    return preds
 
 
 def recall_from_predictions(records, preds: dict, thresholds) -> tuple:
@@ -165,13 +170,18 @@ def semantic_consistency(corpus, checkpoint: Checkpoint, tau_eval=0.5,
 
 
 def _semantic(records, checkpoint: Checkpoint, params, tau_eval) -> float | None:
+    """Localise each record's concatenated sentence pairs in one stacked
+    forward per record."""
     grid_config = grid_from_snapshot(checkpoint.config)
     max_concat = checkpoint.config.get("max_concat_len", TrainConfig.max_concat_len)
-    return _ratio([
-        _hull_consistent(localize(rec, concat_queries(a, b, max_concat), params,
-                                  grid_config).seconds, a.gt_segment, b.gt_segment, tau_eval)
-        for rec in records for a, b in combinations(rec.paragraph, 2)
-    ])
+    flags = []
+    for rec in records:
+        pairs = list(combinations(rec.paragraph, 2))
+        found = localize_pairs([(rec, concat_queries(a, b, max_concat)) for a, b in pairs],
+                               params, grid_config)
+        flags += [_hull_consistent(res.seconds, a.gt_segment, b.gt_segment, tau_eval)
+                  for (a, b), res in zip(pairs, found)]
+    return _ratio(flags)
 
 
 def count_pairs(records) -> int:

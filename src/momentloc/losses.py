@@ -200,12 +200,26 @@ class SemanticPartition:
     The positive is the single proposal most overlapping the hull; negatives
     are all proposals with IoU below tau (the positive exempted); the rest
     are excluded from the loss. The three sets partition the grid.
+    ``negatives`` and ``excluded`` materialise (proposal index, probability)
+    lists on demand; the loss itself works on the mask.
     """
 
     positive: tuple  # (proposal index, probability)
-    negatives: list
-    excluded: list
-    negative_mask: np.ndarray = field(repr=False, default=None)
+    negative_mask: np.ndarray = field(repr=False)
+    scores: np.ndarray = field(repr=False)
+
+    def _listed(self, mask: np.ndarray) -> list:
+        return [(int(i), float(self.scores[i])) for i in np.flatnonzero(mask)]
+
+    @property
+    def negatives(self):
+        return self._listed(self.negative_mask)
+
+    @property
+    def excluded(self):
+        excluded_mask = ~self.negative_mask
+        excluded_mask[self.positive[0]] = False
+        return self._listed(excluded_mask)
 
 
 def semantic_partition(scores: MatchScores, hull_seg, tau: float) -> SemanticPartition:
@@ -213,15 +227,7 @@ def semantic_partition(scores: MatchScores, hull_seg, tau: float) -> SemanticPar
     pos_idx = int(ious.argmax())
     neg_mask = ious < tau
     neg_mask[pos_idx] = False
-    excluded_mask = ~neg_mask
-    excluded_mask[pos_idx] = False
-    values = scores.scores
-    return SemanticPartition(
-        positive=(pos_idx, float(values[pos_idx])),
-        negatives=[(int(i), float(values[i])) for i in np.flatnonzero(neg_mask)],
-        excluded=[(int(i), float(values[i])) for i in np.flatnonzero(excluded_mask)],
-        negative_mask=neg_mask,
-    )
+    return SemanticPartition((pos_idx, float(scores.scores[pos_idx])), neg_mask, scores.scores)
 
 
 def _smt_sum(scores: Tensor, parts) -> Tensor:

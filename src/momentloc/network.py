@@ -126,17 +126,23 @@ class LocalizeResult:
     proposal_index: int
 
 
+def _weights(target, reference, unit, mask=None) -> Tensor:
+    """Attention weights A on the tape: the row softmax of target . W_q^T .
+    W_k . reference^T scaled by 1/sqrt(dim); masked reference columns get
+    exactly zero weight."""
+    logits = ad.matmul(ad.matmul(ad.matmul(target, ad.transpose(unit["w_q"])), unit["w_k"]),
+                       ad.transpose(reference))
+    return ad.softmax_rows(ad.scale(logits, 1.0 / np.sqrt(unit["w_q"].shape[0])), mask)
+
+
 def _attend(target, reference, unit, mask=None) -> tuple:
     """One attention unit on the tape; returns (output, weights) tensors.
 
     ``unit`` maps the five keys w_q, w_k, w_v, fc_w, fc_b to arrays or
-    leaves. Logits are target . W_q^T . W_k . reference^T scaled by
-    1/sqrt(dim); masked reference columns get exactly zero weight; the
-    output is FC(target + A . reference . W_v^T).
+    leaves. The weights A are those of :func:`_weights`; the output is
+    FC(target + A . reference . W_v^T).
     """
-    logits = ad.matmul(ad.matmul(ad.matmul(target, ad.transpose(unit["w_q"])), unit["w_k"]),
-                       ad.transpose(reference))
-    weights = ad.softmax_rows(ad.scale(logits, 1.0 / np.sqrt(unit["w_q"].shape[0])), mask)
+    weights = _weights(target, reference, unit, mask)
     context = ad.matmul(weights, ad.matmul(reference, ad.transpose(unit["w_v"])))
     out = ad.add(ad.matmul(ad.add(target, context), ad.transpose(unit["fc_w"])), unit["fc_b"])
     return out, weights
@@ -261,8 +267,25 @@ def fuse(s_vec: np.ndarray, q_vec: np.ndarray, params) -> np.ndarray:
 
 
 def _score_t(fused: Tensor, p) -> Tensor:
-    att, _ = _attend(fused, fused, _unit(p, "proposal_attn"))
-    logits = ad.add(ad.matvec(att, p["classifier.w"]), p["classifier.b"])
+    """Proposal self-attention and the sigmoid linear classifier, with the
+    classifier folded into the attention's value path.
+
+    With F the fused rows, A their attention weights (:func:`_weights`),
+    c = classifier.w and b = classifier.b, the classifier logits of the
+    attention output, FC(F + A F W_v^T) . c + b, equal
+
+        F u + A (F v) + (fc_b . c + b),  where u = fc_w^T c and v = W_v^T u.
+
+    The W_v and fc products of the rows become matrix-vector products, and
+    only A is computed as in any attention unit.
+    """
+    unit = _unit(p, "proposal_attn")
+    c = p["classifier.w"]
+    u = ad.matvec(ad.transpose(unit["fc_w"]), c)
+    v = ad.matvec(ad.transpose(unit["w_v"]), u)
+    weights = _weights(fused, fused, unit)
+    bias = ad.add(ad.matvec(unit["fc_b"], c), p["classifier.b"])
+    logits = ad.add(ad.add(ad.matvec(fused, u), ad.matvec(weights, ad.matvec(fused, v))), bias)
     return ad.sigmoid(logits)
 
 
@@ -293,12 +316,29 @@ def match(video, query, params, grid_config: GridConfig) -> MatchScores:
     return MatchScores(tensor.value.copy(), stacked.grid, tensor)
 
 
+def localize_pairs(pairs, params, grid_config: GridConfig) -> list:
+    """Top-scoring proposal of every (video, query) pair, all scored in one
+    stacked forward (:func:`match_pairs`); one :class:`LocalizeResult` per
+    pair, in order, and no forward for no pairs. Ties go to the earlier
+    start, then the shorter length.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    ms = match_pairs(pairs, params, grid_config)
+    grid = ms.grid
+    order = np.lexsort((grid.ends - grid.starts, grid.starts))
+    ranked = ms.scores[:, order]
+    best = order[(ranked == ranked.max(axis=1, keepdims=True)).argmax(axis=1)]
+    results = []
+    for (video, _), idx, row in zip(pairs, best, ms.scores):
+        seg = grid.segments[idx]
+        seconds = clips_to_seconds(seg, video.duration, _clips_of(video).l_c)
+        results.append(LocalizeResult(seg, seconds, float(row[idx]), int(idx)))
+    return results
+
+
 def localize(video, query, params, grid_config: GridConfig) -> LocalizeResult:
-    """Top-scoring proposal; ties go to earlier start, then shorter length."""
-    ms = match(video, query, params, grid_config)
-    best = ms.scores.max()
-    candidates = np.flatnonzero(ms.scores == best)
-    idx = min(candidates, key=lambda i: (ms.grid.starts[i], ms.grid.ends[i] - ms.grid.starts[i]))
-    seg = ms.grid.segments[idx]
-    seconds = clips_to_seconds(seg, video.duration, _clips_of(video).l_c)
-    return LocalizeResult(seg, seconds, float(ms.scores[idx]), int(idx))
+    """Top-scoring proposal for one video-query pair: the one-pair case of
+    :func:`localize_pairs`."""
+    return localize_pairs([(video, query)], params, grid_config)[0]

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True, order=True)
 class Segment:
@@ -143,13 +145,29 @@ def generate_proposals(l_c: int, window_sizes, stride: int) -> ProposalGrid:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Sliding-window grid settings shared by training and evaluation."""
+    """Sliding-window grid settings shared by training and evaluation.
+
+    These are the ``[model]`` keys ``window_sizes`` and ``stride``; a bad
+    value raises ConfigError naming its key.
+    """
 
     window_sizes: tuple[int, ...] = (8, 12, 20, 32, 64)
     stride: int = 8
 
+    def __post_init__(self):
+        if self.stride < 1:
+            raise ConfigError(f"[model] stride must be >= 1, got {self.stride}",
+                              key="model.stride")
+        if not self.window_sizes or min(self.window_sizes) < 1:
+            raise ConfigError("[model] window_sizes must be one or more sizes >= 1, got "
+                              f"{list(self.window_sizes)}", key="model.window_sizes")
+
     def grid_for(self, l_c: int) -> "ProposalGrid":
-        return cached_grid(l_c, self.window_sizes, self.stride)
+        grid = cached_grid(l_c, self.window_sizes, self.stride)
+        if not len(grid):
+            raise ConfigError(f"[model] window_sizes {list(self.window_sizes)}: no window "
+                              f"fits l_c = {l_c} clips", key="model.window_sizes")
+        return grid
 
 
 _GRID_CACHE: dict[tuple, ProposalGrid] = {}

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import atomic_write
-from .errors import DataError, MomentlocError, TrainingDivergedError
+from .errors import ConfigError, DataError, TrainingDivergedError
 from .losses import BatchItem, LossConfig, NegativeSample, total_loss
 from .network import ModelParams, _param_table, init_params, lift, params_from_named
 from .segments import GridConfig
@@ -59,9 +59,10 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_videos < 2:
-            raise MomentlocError("batch_videos must be >= 2 (negative sampling)")
+            raise ConfigError("[train] batch_videos must be >= 2 (negative sampling)",
+                              key="train.batch_videos")
         if self.learning_rate <= 0:
-            raise MomentlocError("learning rate must be positive")
+            raise ConfigError("[train] learning_rate must be positive", key="train.learning_rate")
 
     def loss_config(self) -> LossConfig:
         return LossConfig(self.grid, self.tau, self.use_bce, self.use_tmp,
@@ -211,6 +212,7 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
     if not records:
         raise DataError("empty corpus")
     l_c, d_v, d_t = _one_shape(records)
+    config.grid.grid_for(l_c)  # a grid that no window fits fails here, before any forward
     rng = np.random.default_rng(config.seed)
     params = init_params(config.d, d_v, d_t, config.depth_self, config.depth_cross, rng)
     adam = Adam(params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
@@ -284,7 +286,8 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a truncated or malformed file raises DataError."""
+    """Read a checkpoint; a truncated or malformed file, or one holding a
+    non-finite tensor value, raises DataError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CHECKPOINT_MAGIC:
@@ -316,6 +319,8 @@ def load_checkpoint(path) -> Checkpoint:
         count = math.prod(shape)
         named[name] = np.frombuffer(blob, "<f4", count, offset).reshape(shape).copy()
         offset += 4 * count
+        if not np.isfinite(named[name]).all():
+            raise DataError(f"{path}: tensor {name!r} holds non-finite values")
     return Checkpoint(params_from_named(named, d, depth_self, depth_cross), config, *fields)
 
 

@@ -220,6 +220,26 @@ class TestTrainCommand:
         assert len(result.records) == 7 and result.skip_count == 1
 
 
+class TestBadTrainSettings:
+    """Settings that cannot train, among them grids that admit no proposal,
+    exit 2 before any forward."""
+
+    @pytest.mark.parametrize("old, new, names", [
+        ("stride = 8", "stride = 0", ("[model] stride",)),
+        ("window_sizes = 8,16", "window_sizes = 0,8", ("[model] window_sizes",)),
+        ("window_sizes = 8,16", "window_sizes = 500", ("[model] window_sizes", "[500]",
+                                                       "l_c = 16")),
+        ("batch_videos = 2", "batch_videos = 1", ("[train] batch_videos",)),
+    ])
+    def test_exit_2_names_the_setting(self, workdir, tmp_path, old, new, names):
+        cfg = ini(tmp_path, RUN_INI.replace(old, new), "bad.ini")
+        proc = run_cli("train", workdir["data"], str(tmp_path / "x.ckpt"), "--config", cfg)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert all(name in proc.stderr for name in names), proc.stderr
+        assert not (tmp_path / "x.ckpt").exists()
+
+
 class TestEvalCommand:
     def test_report_table_and_json(self, workdir, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -1,10 +1,12 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from helpers import make_record
+from helpers import make_record, tiny_params
 from momentloc import (
+    Checkpoint,
     CheckpointMismatchError,
     GridConfig,
     PredictionsMismatchError,
@@ -12,9 +14,13 @@ from momentloc import (
     SynthConfig,
     TrainConfig,
     analyze_predictions,
+    concat_queries,
     count_pairs,
     evaluate,
     generate_corpus,
+    hull,
+    iou,
+    localize,
     recall_from_predictions,
     report_to_json,
     report_to_table,
@@ -22,6 +28,7 @@ from momentloc import (
     temporal_consistency_from_predictions,
     train,
 )
+from momentloc import network
 
 
 def gt_record(vid, gts, duration=30.0, d_v=2, d_t=2):
@@ -248,3 +255,54 @@ class TestCountPairs:
         recs = [gt_record("a", [(0, 5), (5, 10)]), gt_record("b", [(0, 5), (5, 10), (10, 15)]),
                 gt_record("c", [(0, 5)])]
         assert count_pairs(recs) == 1 + 3 + 0
+
+
+@pytest.fixture(scope="module")
+def ragged():
+    """Paragraphs of 1, 2 and 5 sentences of 1 to 7 tokens, scored by an
+    untrained checkpoint."""
+    rng = np.random.default_rng(31)
+    gts = [(0, 6), (4, 12), (10, 16), (2, 8), (8, 16)]
+    records = []
+    for vid, count in (("one", 1), ("two", 2), ("five", 5)):
+        sentences = [(rng.normal(size=(int(rng.integers(1, 8)), 3)), gt) for gt in gts[:count]]
+        records.append(make_record(rng.normal(size=(16, 4)), sentences, vid=vid))
+    params = {k: v.astype(np.float32) for k, v in tiny_params(6, 4, 3, seed=32).items()}
+    config = {"d": 6, "d_v": 4, "d_t": 3, "l_c": 16, "depth_self": 1, "depth_cross": 1,
+              "window_sizes": list(TINY_GRID.window_sizes), "stride": TINY_GRID.stride,
+              "max_concat_len": 6}
+    return records, Checkpoint(params, config, 0, "", "", [])
+
+
+class TestBatchedEval:
+    """evaluate scores each video's sentences in one stacked forward and its
+    concatenated pairs in another; the results equal per-query localize."""
+
+    def test_per_query_rows_equal_localize(self, ragged):
+        records, ckpt = ragged
+        rows = evaluate(records, ckpt, (0.5,)).per_query
+        want = [list(localize(rec, sent, ckpt.params, TINY_GRID).seconds)
+                for rec in records for sent in rec.paragraph]
+        assert [row["predicted"] for row in rows] == want
+
+    def test_semantic_equals_per_pair_loop(self, ragged):
+        records, ckpt = ragged
+        flags = [iou(localize(rec, concat_queries(a, b, 6), ckpt.params, TINY_GRID).seconds,
+                     hull(a.gt_segment, b.gt_segment)) > 0.5
+                 for rec in records for a, b in combinations(rec.paragraph, 2)]
+        assert len(flags) == 11
+        assert semantic_consistency(records, ckpt) == sum(flags) / len(flags)
+
+    def test_one_forward_per_video_per_protocol(self, ragged, monkeypatch):
+        records, ckpt = ragged
+        sizes = []
+        real = network.match_pairs
+
+        def spy(pairs, params, grid_config):
+            sizes.append(len(pairs))
+            return real(pairs, params, grid_config)
+
+        monkeypatch.setattr(network, "match_pairs", spy)
+        evaluate(records, ckpt, (0.5,))
+        # sentences of each video, then the pairs of each multi-sentence one
+        assert sizes == [1, 2, 5, 1, 10]

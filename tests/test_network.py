@@ -14,6 +14,7 @@ from momentloc import (
     init_params,
     lift,
     localize,
+    localize_pairs,
     match,
     match_pairs,
     pool_sentence,
@@ -365,6 +366,17 @@ class TestLocalize:
         starts_lengths = [(s.start, s.end - s.start) for s in grid.segments]
         assert (got.segment.start, got.segment.end - got.segment.start) == min(starts_lengths)
         assert got.score == 0.5
+
+    def test_pairs_break_ties_like_localize(self):
+        video, _, params = rig(seed=20)
+        params["classifier.w"] = np.zeros(12)
+        rng = np.random.default_rng(27)
+        queries = [token_seq(rng.normal(size=(n, 2))) for n in (1, 3, 6)]
+        found = localize_pairs([(video, q) for q in queries], params, GRID)
+        assert len(found) == len(queries)
+        for got, query in zip(found, queries):
+            assert got == localize(video, query, params, GRID)
+        assert localize_pairs([], params, GRID) == []
 
 
 class TestGradients:

@@ -388,6 +388,14 @@ class TestCheckpointIO:
         assert os.listdir(tmp_path) == ["model.crmc"]
         assert load_checkpoint(p).epoch == ckpt.epoch
 
+    def test_non_finite_tensor_named(self, tmp_path):
+        ckpt = self.make()
+        ckpt.params["classifier.w"][0] = np.nan
+        p = tmp_path / "model.crmc"
+        save_checkpoint(ckpt, p)
+        with pytest.raises(DataError, match="'classifier.w' holds non-finite values"):
+            load_checkpoint(p)
+
     def test_wrong_tensor_shape_named(self, tmp_path):
         p = tmp_path / "model.crmc"
         save_checkpoint(train(tiny_corpus(4), tiny_train_config(d=4, epochs=1)), p)
