@@ -159,16 +159,9 @@ def matmul(a, b) -> Tensor:
 
 
 def matvec(a, v) -> Tensor:
-    """(..., m, n) @ (n,) -> (..., m); a vector ``a`` gives the 0-d dot product.
-
-    ``v`` may instead carry ``a``'s leading batch axis, (batch, n), for one
-    vector per batch entry.
-    """
+    """(..., m, n) @ (n,) -> (..., m); a vector ``a`` gives the 0-d dot product."""
     a, v = as_tensor(a), as_tensor(v)
     av, vv = a.value, v.value
-    if vv.ndim > 1:
-        return Tensor((av @ vv[..., None])[..., 0], (a, v), lambda g: (
-            g[..., None] * vv[..., None, :], (_swap(av) @ g[..., None])[..., 0]))
     return Tensor(av @ vv, (a, v), lambda g: (
         g[..., None] * vv, _rows(av).T @ g.reshape(-1)))
 

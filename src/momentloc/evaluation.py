@@ -170,17 +170,20 @@ def semantic_consistency(corpus, checkpoint: Checkpoint, tau_eval=0.5,
 
 
 def _semantic(records, checkpoint: Checkpoint, params, tau_eval) -> float | None:
-    """Localise each record's concatenated sentence pairs in one stacked
-    forward per record."""
+    """Localise each record's concatenated sentence pairs in stacked forwards
+    of at most as many pairs as the record has sentences, so that a
+    forward grows with the paragraph, not with its square."""
     grid_config = grid_from_snapshot(checkpoint.config)
     max_concat = checkpoint.config.get("max_concat_len", TrainConfig.max_concat_len)
     flags = []
     for rec in records:
         pairs = list(combinations(rec.paragraph, 2))
-        found = localize_pairs([(rec, concat_queries(a, b, max_concat)) for a, b in pairs],
-                               params, grid_config)
-        flags += [_hull_consistent(res.seconds, a.gt_segment, b.gt_segment, tau_eval)
-                  for (a, b), res in zip(pairs, found)]
+        width = len(rec.paragraph)
+        for chunk in (pairs[i: i + width] for i in range(0, len(pairs), width)):
+            found = localize_pairs([(rec, concat_queries(a, b, max_concat)) for a, b in chunk],
+                                   params, grid_config)
+            flags += [_hull_consistent(res.seconds, a.gt_segment, b.gt_segment, tau_eval)
+                      for (a, b), res in zip(chunk, found)]
     return _ratio(flags)
 
 

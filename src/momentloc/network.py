@@ -285,7 +285,9 @@ def _score_t(fused: Tensor, p) -> Tensor:
     v = ad.matvec(ad.transpose(unit["w_v"]), u)
     weights = _weights(fused, fused, unit)
     bias = ad.add(ad.matvec(unit["fc_b"], c), p["classifier.b"])
-    logits = ad.add(ad.add(ad.matvec(fused, u), ad.matvec(weights, ad.matvec(fused, v))), bias)
+    fv = ad.matvec(fused, v)
+    context = ad.reshape(ad.matmul(weights, ad.reshape(fv, fv.shape + (1,))), fv.shape)
+    logits = ad.add(ad.add(ad.matvec(fused, u), context), bias)
     return ad.sigmoid(logits)
 
 
@@ -321,6 +323,11 @@ def localize_pairs(pairs, params, grid_config: GridConfig) -> list:
     stacked forward (:func:`match_pairs`); one :class:`LocalizeResult` per
     pair, in order, and no forward for no pairs. Ties go to the earlier
     start, then the shorter length.
+
+    Stacking pads word rows and changes GEMM shapes, so a pair's scores
+    may differ from a lone :func:`localize` of it in the last bit; the two
+    then pick different proposals only where the top scores lie that
+    close. Memory grows with the number of pairs stacked.
     """
     pairs = list(pairs)
     if not pairs:

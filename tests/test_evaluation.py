@@ -276,7 +276,8 @@ def ragged():
 
 class TestBatchedEval:
     """evaluate scores each video's sentences in one stacked forward and its
-    concatenated pairs in another; the results equal per-query localize."""
+    concatenated pairs in forwards of at most as many pairs as the video
+    has sentences; the results equal per-query localize."""
 
     def test_per_query_rows_equal_localize(self, ragged):
         records, ckpt = ragged
@@ -293,7 +294,7 @@ class TestBatchedEval:
         assert len(flags) == 11
         assert semantic_consistency(records, ckpt) == sum(flags) / len(flags)
 
-    def test_one_forward_per_video_per_protocol(self, ragged, monkeypatch):
+    def test_forward_sizes_bounded_by_paragraph_length(self, ragged, monkeypatch):
         records, ckpt = ragged
         sizes = []
         real = network.match_pairs
@@ -304,5 +305,6 @@ class TestBatchedEval:
 
         monkeypatch.setattr(network, "match_pairs", spy)
         evaluate(records, ckpt, (0.5,))
-        # sentences of each video, then the pairs of each multi-sentence one
-        assert sizes == [1, 2, 5, 1, 10]
+        # sentences of each video, then the pairs of each multi-sentence one,
+        # at most as many per forward as the video has sentences
+        assert sizes == [1, 2, 5, 1, 5, 5]
