@@ -27,8 +27,8 @@ define its backward inside the op function: a node is named by the first
 part of ``_backward.__qualname__``. Then list the op in the contract table
 of ``tests/test_autodiff.py``.
 
-Max-style operations (segment_max, max_rows, masked_max) route gradients to
-the first arg-max element, which keeps training deterministic under ties.
+The max-style operations (segment_max, max_rows) route gradients to the
+first arg-max element, which keeps training deterministic under ties.
 """
 
 from __future__ import annotations
@@ -79,13 +79,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         if n == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
-
-
-def _scatter(shape: tuple, index, g) -> np.ndarray:
-    """Zeros of ``shape`` with ``g`` placed at ``index``."""
-    ga = np.zeros(shape)
-    ga[index] = g
-    return ga
 
 
 def add(a, b) -> Tensor:
@@ -293,21 +286,6 @@ def max_rows(a, mask: np.ndarray | None = None) -> Tensor:
         return (ga,)
 
     return Tensor(out_value, (a,), backward)
-
-
-def masked_max(a, mask: np.ndarray | None = None) -> Tensor:
-    """Max over all (optionally masked) elements -> 0-d scalar."""
-    a = as_tensor(a)
-    x = a.value
-    if mask is None:
-        flat_idx = int(x.argmax())
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise ValueError("masked_max over empty selection")
-        flat_idx = int(np.where(mask, x, -np.inf).argmax())
-    index = np.unravel_index(flat_idx, x.shape)
-    return Tensor(np.asarray(x[index]), (a,), lambda g: (_scatter(x.shape, index, g),))
 
 
 def pick(a, index) -> Tensor:

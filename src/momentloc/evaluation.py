@@ -27,7 +27,7 @@ from .errors import CheckpointMismatchError, DataError, PredictionsMismatchError
 from .losses import concat_queries
 from .network import localize_pairs
 from .segments import hull, iou, order_relation
-from .training import Checkpoint, TrainConfig, grid_from_snapshot
+from .training import Checkpoint, TrainConfig, _one_shape, grid_from_snapshot
 
 
 @dataclass
@@ -42,42 +42,43 @@ class EvalReport:
     tau_eval: float
 
 
-def _check_compatible(records, checkpoint: Checkpoint, split: str | None = None):
-    """The records must exist and match the checkpoint's data shape."""
+def _prepare(corpus, checkpoint: Checkpoint, split: str | None = None) -> tuple:
+    """The records of ``split``, each checked against the others and the
+    shape against the checkpoint, plus the float32 checkpoint tensors cast
+    to float64 once, so that each stacked forward does not cast them again."""
+    records = filter_split(corpus, split)
     if not records:
         raise DataError(f"no records in split {split!r}" if split else "no records to evaluate")
-    rec = records[0]
-    checks = [
-        ("l_c", checkpoint.config["l_c"], rec.clips.l_c),
-        ("d_v", checkpoint.config["d_v"], rec.clips.matrix.shape[1]),
-        ("d_t", checkpoint.config["d_t"], rec.paragraph[0].tokens.matrix.shape[1]),
-    ]
-    for name, expected, actual in checks:
-        if expected != actual:
-            raise CheckpointMismatchError(name, expected, actual)
+    for name, actual in zip(("l_c", "d_v", "d_t"), _one_shape(records)):
+        if checkpoint.config[name] != actual:
+            raise CheckpointMismatchError(name, checkpoint.config[name], actual)
+    return records, {name: arr.astype(np.float64) for name, arr in checkpoint.params.items()}
 
 
-def _params64(checkpoint: Checkpoint) -> dict:
-    """The float32 checkpoint tensors cast to float64 once, so that each
-    stacked forward does not cast them again."""
-    return {name: arr.astype(np.float64) for name, arr in checkpoint.params.items()}
+def _localized(records, checkpoint: Checkpoint, params, queries_of):
+    """Yield (key, LocalizeResult) for the (key, query) list ``queries_of``
+    gives each record. A record's queries are stacked in forwards of at most
+    as many queries as it has sentences, so that a forward grows with the
+    paragraph, not with its square."""
+    grid_config = grid_from_snapshot(checkpoint.config)
+    for rec in records:
+        queries, width = queries_of(rec), len(rec.paragraph)
+        for chunk in (queries[i: i + width] for i in range(0, len(queries), width)):
+            found = localize_pairs([(rec, query) for _, query in chunk], params, grid_config)
+            yield from zip((key for key, _ in chunk), found)
 
 
 def predict_sentences(records, checkpoint: Checkpoint) -> dict:
     """(video id, position) -> predicted (start_s, end_s) for every sentence."""
-    _check_compatible(records, checkpoint)
-    return _predict(records, checkpoint, _params64(checkpoint))
+    records, params = _prepare(records, checkpoint)
+    return _predict(records, checkpoint, params)
 
 
 def _predict(records, checkpoint: Checkpoint, params) -> dict:
     """Localise each record's sentences in one stacked forward per record."""
-    grid_config = grid_from_snapshot(checkpoint.config)
-    preds = {}
-    for rec in records:
-        found = localize_pairs([(rec, sent) for sent in rec.paragraph], params, grid_config)
-        preds.update(((rec.id, sent.position), res.seconds)
-                     for sent, res in zip(rec.paragraph, found))
-    return preds
+    return {key: res.seconds for key, res in _localized(
+        records, checkpoint, params,
+        lambda rec: [((rec.id, sent.position), sent) for sent in rec.paragraph])}
 
 
 def recall_from_predictions(records, preds: dict, thresholds) -> tuple:
@@ -164,27 +165,18 @@ def semantic_consistency(corpus, checkpoint: Checkpoint, tau_eval=0.5,
                          split: str | None = None):
     """Localise each concatenated sentence pair; count predictions whose IoU
     with the hull of the pair's ground-truth segments exceeds tau_eval."""
-    records = filter_split(corpus, split)
-    _check_compatible(records, checkpoint, split)
-    return _semantic(records, checkpoint, _params64(checkpoint), tau_eval)
+    records, params = _prepare(corpus, checkpoint, split)
+    return _semantic(records, checkpoint, params, tau_eval)
 
 
 def _semantic(records, checkpoint: Checkpoint, params, tau_eval) -> float | None:
-    """Localise each record's concatenated sentence pairs in stacked forwards
-    of at most as many pairs as the record has sentences, so that a
-    forward grows with the paragraph, not with its square."""
-    grid_config = grid_from_snapshot(checkpoint.config)
+    """Localise each record's concatenated sentence pairs."""
     max_concat = checkpoint.config.get("max_concat_len", TrainConfig.max_concat_len)
-    flags = []
-    for rec in records:
-        pairs = list(combinations(rec.paragraph, 2))
-        width = len(rec.paragraph)
-        for chunk in (pairs[i: i + width] for i in range(0, len(pairs), width)):
-            found = localize_pairs([(rec, concat_queries(a, b, max_concat)) for a, b in chunk],
-                                   params, grid_config)
-            flags += [_hull_consistent(res.seconds, a.gt_segment, b.gt_segment, tau_eval)
-                      for (a, b), res in zip(chunk, found)]
-    return _ratio(flags)
+    return _ratio([_hull_consistent(res.seconds, a.gt_segment, b.gt_segment, tau_eval)
+                   for (a, b), res in _localized(
+                       records, checkpoint, params,
+                       lambda rec: [((a, b), concat_queries(a, b, max_concat))
+                                    for a, b in combinations(rec.paragraph, 2)])])
 
 
 def count_pairs(records) -> int:
@@ -194,9 +186,7 @@ def count_pairs(records) -> int:
 def evaluate(corpus, checkpoint: Checkpoint, thresholds=(0.1, 0.3, 0.5),
              split: str | None = None, tau_eval=0.5) -> EvalReport:
     """Full report: recall at every threshold plus both consistency ratios."""
-    records = filter_split(corpus, split)
-    _check_compatible(records, checkpoint, split)
-    params = _params64(checkpoint)
+    records, params = _prepare(corpus, checkpoint, split)
     preds = _predict(records, checkpoint, params)
     recall, details = recall_from_predictions(records, preds, thresholds)
     return EvalReport(

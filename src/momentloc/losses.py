@@ -24,8 +24,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import TokenSequence
 from .errors import MomentlocError
-from .network import MatchScores, match_pairs
+from .network import MatchScores, _tokens_of, match_pairs
 from .segments import GridConfig, ProposalGrid, hull, query_order
 
 EPS = 1e-7
@@ -75,8 +76,12 @@ def _clamped(t: Tensor) -> Tensor:
 
 
 def video_score(scores) -> Tensor:
-    """Video-level matching probability: max over all proposal scores."""
-    return ad.masked_max(_scores_tensor(scores))
+    """Video-level matching probability: the max over the last axis of the
+    proposal scores, 0-d for one (L_s,) row and (pairs,) for stacked
+    (pairs, L_s) scores. A tie routes the gradient to the first arg-max."""
+    t = _scores_tensor(scores)
+    best = ad.max_rows(ad.reshape(t, t.shape + (1,)))
+    return ad.reshape(best, t.shape[:-1])
 
 
 def bce_loss(p_pos, p_neg_q, p_neg_v) -> Tensor:
@@ -184,10 +189,7 @@ def tmp_loss(partition: TemporalPartition) -> Tensor:
 
 def concat_queries(qa, qb, max_concat: int = 40):
     """Token rows of the first query followed by the second, truncated."""
-    from .data import TokenSequence
-
-    ta = qa.tokens if hasattr(qa, "tokens") else qa
-    tb = qb.tokens if hasattr(qb, "tokens") else qb
+    ta, tb = _tokens_of(qa), _tokens_of(qb)
     matrix = np.concatenate([ta.matrix, tb.matrix], axis=0)[:max_concat]
     raw = (ta.raw_tokens + tb.raw_tokens)[:max_concat]
     return TokenSequence(matrix, raw)
@@ -328,7 +330,7 @@ def total_loss(batch, params, config: LossConfig) -> LossBreakdown:
     components = {}
     if bce_rows:
         pos, neg_q, neg_v = (np.array(c) for c in zip(*bce_rows))
-        p_video = ad.max_rows(ad.transpose(scores))
+        p_video = video_score(scores)
         terms = bce_loss(ad.pick(p_video, pos), ad.pick(p_video, neg_q), ad.pick(p_video, neg_v))
         components["bce"] = ad.scale(ad.sum_all(terms), 1.0 / len(bce_rows))
     consistent_flags = []

@@ -58,6 +58,12 @@ class TrainConfig:
     use_smt: bool = True
 
     def __post_init__(self):
+        for key, least in (("model.d", 1), ("model.depth_self", 0), ("model.depth_cross", 0),
+                           ("train.max_concat_len", 1)):
+            section, name = key.split(".")
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"[{section}] {name} must be >= {least}, got {value}", key=key)
         if self.batch_videos < 2:
             raise ConfigError("[train] batch_videos must be >= 2 (negative sampling)",
                               key="train.batch_videos")
@@ -212,7 +218,12 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
     if not records:
         raise DataError("empty corpus")
     l_c, d_v, d_t = _one_shape(records)
-    config.grid.grid_for(l_c)  # a grid that no window fits fails here, before any forward
+    grid = config.grid.grid_for(l_c)  # a grid that no window fits fails here, before any forward
+    if (config.use_tmp or config.use_smt) and not grid.starts.any():
+        raise ConfigError(f"[model] window_sizes {list(config.grid.window_sizes)} and stride "
+                          f"{config.grid.stride}: every proposal starts at clip 0 of l_c = "
+                          f"{l_c}, so the tmp and smt losses have no temporally ordered "
+                          "proposal pair", key="model.window_sizes")
     rng = np.random.default_rng(config.seed)
     params = init_params(config.d, d_v, d_t, config.depth_self, config.depth_cross, rng)
     adam = Adam(params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)

@@ -167,18 +167,14 @@ class TestReductions:
         out = ad.max_rows(ad.constant(x))
         assert np.allclose(out.value, x.max(axis=0))
         check_op(lambda t: total(ad.max_rows(t)), x)
-
-    def test_masked_max(self):
-        x = RNG.normal(size=(2, 3))
-        mask = np.array([[True, False, True], [False, False, True]])
-        out = ad.masked_max(ad.constant(x), mask)
-        assert out.value == x[mask].max()
-        check_op(lambda t: ad.masked_max(t, mask), x)
-        check_op(lambda t: ad.masked_max(t), RNG.normal(size=5))
-
-    def test_masked_max_empty(self):
+        # only True entries compete, and only they receive gradient
+        y = RNG.normal(size=(3, 2))
+        mask = np.array([[True, False], [False, False], [True, True]])
+        out = ad.max_rows(ad.constant(y), mask)
+        assert np.array_equal(out.value, [y[mask[:, 0], 0].max(), y[2, 1]])
+        check_op(lambda t: total(ad.max_rows(t, mask)), y)
         with pytest.raises(ValueError):
-            ad.masked_max(ad.constant(np.zeros(3)), np.zeros(3, dtype=bool))
+            ad.max_rows(ad.constant(np.zeros((3, 2))), np.zeros((3, 2), dtype=bool))
 
     def test_pick(self):
         x = RNG.normal(size=6)
@@ -307,8 +303,6 @@ OP_CASES = {
     "softmax_rows": lambda: ad.softmax_rows(_arr(3, 4), np.array([True, False, True, True])),
     "segment_max": lambda: ad.segment_max(_arr(6, 3), [(0, 2), (1, 5)]),
     "max_rows": lambda: ad.max_rows(_arr(4, 3)),
-    "masked_max": lambda: ad.masked_max(_arr(2, 3), np.array([[True, False, True],
-                                                              [False, True, False]])),
     "pick": lambda: ad.pick(_arr(5), 2),
     "sum_all": lambda: ad.sum_all(_arr(2, 3)),
     # Stacked cases: a leading batch axis on every op that takes one.

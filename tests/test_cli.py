@@ -220,9 +220,15 @@ class TestTrainCommand:
         assert len(result.records) == 7 and result.skip_count == 1
 
 
+# Grids whose proposals all start at clip 0 of the l_c = 16 corpus: the
+# temporal and semantic losses then have no ordered proposal pair.
+ONE_START_GRIDS = [("window_sizes = 8,16", "window_sizes = 16"), ("stride = 8", "stride = 16")]
+
+
 class TestBadTrainSettings:
-    """Settings that cannot train, among them grids that admit no proposal,
-    exit 2 before any forward."""
+    """Settings that cannot train exit 2 before any forward: grids that
+    admit no proposal, or only proposals with one start under the temporal
+    and semantic losses, and out-of-range model and train integers."""
 
     @pytest.mark.parametrize("old, new, names", [
         ("stride = 8", "stride = 0", ("[model] stride",)),
@@ -230,14 +236,26 @@ class TestBadTrainSettings:
         ("window_sizes = 8,16", "window_sizes = 500", ("[model] window_sizes", "[500]",
                                                        "l_c = 16")),
         ("batch_videos = 2", "batch_videos = 1", ("[train] batch_videos",)),
+        ("\nd = 8", "\nd = 0", ("[model] d ",)),
+        ("\nd = 8", "\nd = -2", ("[model] d ",)),
+        ("depth_self = 1", "depth_self = -1", ("[model] depth_self",)),
+        ("batch_videos = 2", "batch_videos = 2\nmax_concat_len = 0", ("[train] max_concat_len",)),
+        *[(old, new, ("[model] window_sizes", "stride")) for old, new in ONE_START_GRIDS],
     ])
     def test_exit_2_names_the_setting(self, workdir, tmp_path, old, new, names):
         cfg = ini(tmp_path, RUN_INI.replace(old, new), "bad.ini")
         proc = run_cli("train", workdir["data"], str(tmp_path / "x.ckpt"), "--config", cfg)
         assert proc.returncode == 2, proc.stderr
-        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
-        assert all(name in proc.stderr for name in names), proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and all(name in errors[0] for name in names), proc.stderr
         assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("old, new", ONE_START_GRIDS)
+    def test_one_start_grid_trains_with_bce_alone(self, workdir, tmp_path, old, new):
+        cfg = ini(tmp_path, RUN_INI.replace(old, new), "bce.ini")
+        assert main(["train", workdir["data"], str(tmp_path / "x.ckpt"), "--config", cfg,
+                     "--loss", "bce"]) == 0
 
 
 class TestEvalCommand:

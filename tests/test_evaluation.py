@@ -8,6 +8,7 @@ from helpers import make_record, tiny_params
 from momentloc import (
     Checkpoint,
     CheckpointMismatchError,
+    DataError,
     GridConfig,
     PredictionsMismatchError,
     Segment,
@@ -21,6 +22,7 @@ from momentloc import (
     hull,
     iou,
     localize,
+    predict_sentences,
     recall_from_predictions,
     report_to_json,
     report_to_table,
@@ -221,6 +223,13 @@ class TestCheckpointMetrics:
             evaluate([bad], ckpt, (0.5,))
         assert exc.value.field == "l_c"
         assert exc.value.expected == 16 and exc.value.actual == 8
+
+    @pytest.mark.parametrize("entry", [evaluate, predict_sentences, semantic_consistency])
+    def test_every_record_shape_checked(self, trained, entry):
+        records, ckpt = trained
+        narrow = make_record(np.zeros((16, 4)), [(np.zeros((2, 6)), (0, 4))], vid="narrow")
+        with pytest.raises(DataError, match="narrow: feature width 4"):
+            entry([records[0], narrow], ckpt)
 
     def test_consistency_ranges(self, trained):
         records, ckpt = trained

@@ -24,6 +24,7 @@ from momentloc import (
     total_loss,
     video_score,
 )
+from momentloc import autodiff as ad
 from momentloc.losses import _best_consistent_pair
 from momentloc.network import MatchScores
 
@@ -53,6 +54,20 @@ class TestVideoScore:
     def test_random_vs_scan(self):
         v = np.random.default_rng(0).uniform(0.01, 0.99, size=17)
         assert float(video_score(v)) == max(float(x) for x in v)
+
+    def test_stacked_rows_equal_each_row(self):
+        scores = np.random.default_rng(1).uniform(0.01, 0.99, size=(4, 7))
+        stacked = video_score(scores)
+        assert stacked.shape == (4,)
+        assert list(stacked.value) == [float(video_score(row)) for row in scores]
+
+    def test_tie_gradient_goes_to_first_argmax(self):
+        leaf = ad.parameter(np.array([[0.2, 0.9, 0.9], [0.5, 0.5, 0.1]]))
+        ad.backward(ad.sum_all(video_score(leaf)))
+        assert np.array_equal(leaf.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        row = ad.parameter(np.array([0.3, 0.7, 0.7]))
+        ad.backward(video_score(row))
+        assert np.array_equal(row.grad, [0.0, 1.0, 0.0])
 
 
 class TestBceLoss:
