@@ -167,12 +167,16 @@ class TestReductions:
         out = ad.max_rows(ad.constant(x))
         assert np.allclose(out.value, x.max(axis=0))
         check_op(lambda t: total(ad.max_rows(t)), x)
+
+    def test_masked_max(self):
         # only True entries compete, and only they receive gradient
         y = RNG.normal(size=(3, 2))
         mask = np.array([[True, False], [False, False], [True, True]])
         out = ad.max_rows(ad.constant(y), mask)
         assert np.array_equal(out.value, [y[mask[:, 0], 0].max(), y[2, 1]])
         check_op(lambda t: total(ad.max_rows(t, mask)), y)
+
+    def test_masked_max_empty(self):
         with pytest.raises(ValueError):
             ad.max_rows(ad.constant(np.zeros((3, 2))), np.zeros((3, 2), dtype=bool))
 
