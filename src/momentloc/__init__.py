@@ -74,7 +74,6 @@ from .network import (
     ModelParams,
     attention_unit,
     encode,
-    fuse,
     init_params,
     lift,
     localize,
@@ -82,14 +81,11 @@ from .network import (
     match,
     match_pairs,
     params_from_named,
-    pool_sentence,
-    score_proposals,
 )
 from .segments import (
     GridConfig,
     ProposalGrid,
     Segment,
-    cached_grid,
     clips_to_seconds,
     generate_proposals,
     hull,

@@ -78,7 +78,6 @@ class RunConfig:
     """Fully resolved configuration values, one dict per section."""
 
     values: dict
-    path: str | None = None
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
@@ -117,7 +116,6 @@ def load_run_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     run = default_run_config()
-    run.path = str(path)
     for section in parser.sections():
         if section not in SCHEMA:
             raise ConfigError(f"unknown config section [{section}]", key=section)

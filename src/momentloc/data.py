@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .segments import Segment
 
 SPLITS = ("train", "val", "test")
@@ -53,13 +53,18 @@ class DataConfig:
     pool_span: int = 5
     max_sentence_len: int = 20
 
+    def __post_init__(self):
+        for name in ("l_c", "pool_span", "max_sentence_len"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"[data] {name} must be >= 1, got {value}", key=f"data.{name}")
+
 
 @dataclass(frozen=True)
 class FrameFeatures:
     """Per-frame feature matrix (F rows, one per frame)."""
 
     matrix: np.ndarray
-    frame_rate_hint: float | None = None
 
     def __post_init__(self):
         m = self.matrix
@@ -125,10 +130,6 @@ class Sentence:
         GT_AUDIT.count += 1
         return self._gt_segment
 
-    @property
-    def has_gt(self) -> bool:
-        return self._gt_segment is not None
-
     def __repr__(self):
         return f"Sentence(position={self.position}, tokens={len(self.tokens)})"
 
@@ -167,12 +168,6 @@ class EmbeddingTable:
                 raise DataError(f"embedding for {w!r} is not a finite {d_t}-vector")
         self._vectors = {w: np.asarray(v, dtype=np.float64) for w, v in vectors.items()}
         self.d_t = d_t
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._vectors
-
-    def __len__(self) -> int:
-        return len(self._vectors)
 
     def lookup(self, word: str) -> np.ndarray:
         vec = self._vectors.get(word)
@@ -242,7 +237,7 @@ def write_features(path, matrix: np.ndarray):
     m = np.ascontiguousarray(matrix, dtype="<f4")
     if m.ndim != 2:
         raise DataError("feature matrix must be 2-D")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_FEATURE_MAGIC)
         fh.write(bytes([_FEATURE_VERSION]))
         fh.write(struct.pack("<II", m.shape[0], m.shape[1]))
@@ -278,7 +273,7 @@ def read_annotations(path) -> dict:
 
 
 def write_annotations(path, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -308,14 +303,14 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def save_embeddings(path, table: EmbeddingTable):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for word in sorted(table.words()):
             values = " ".join(repr(float(v)) for v in table.lookup(word))
             fh.write(f"{word} {values}\n")
 
 
 class CorpusLoadResult:
-    """Loaded records plus a per-record skip report; iterates like a list.
+    """Loaded records plus a per-record skip report.
 
     ``skipped`` holds (id, reason) pairs, and every reason starts with the
     id it names.
@@ -324,15 +319,6 @@ class CorpusLoadResult:
     def __init__(self, records, skipped):
         self.records = tuple(records)
         self.skipped = tuple(skipped)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __getitem__(self, idx):
-        return self.records[idx]
 
     @property
     def skip_count(self) -> int:

@@ -124,8 +124,6 @@ class TemporalPartition:
 
     joint: np.ndarray
     consistent_mask: np.ndarray
-    j: int
-    j_prime: int
     tensor: Tensor | None = field(default=None, repr=False)
 
     @property
@@ -148,7 +146,7 @@ def temporal_partition(joint, grid: ProposalGrid, j: int, j_prime: int) -> Tempo
     if values.shape != (len(grid), len(grid)):
         raise ValueError(f"joint matrix must be {len(grid)}x{len(grid)}")
     mask = grid.order_matrix() == query_order(j, j_prime)
-    return TemporalPartition(values, mask, j, j_prime, tensor)
+    return TemporalPartition(values, mask, tensor)
 
 
 def _max_over(rows: Tensor, mask: np.ndarray) -> Tensor:

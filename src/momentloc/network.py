@@ -199,9 +199,7 @@ def _encode_t(pairs, p, grid_config: GridConfig):
         raise DataError("videos scored together must share one l_c (one proposal grid)")
     grid = grid_config.grid_for(l_c)
     valid = np.array([c.valid_count for c in clip_seqs])
-    clip_mask = None
-    if (valid < l_c).any():
-        clip_mask = (np.arange(l_c) < valid[:, None])[:, None, :]
+    clip_mask = (np.arange(l_c) < valid[:, None])[:, None, :]
     v = _affine(np.stack([c.matrix for c in clip_seqs]), p["video_proj.w"], p["video_proj.b"])
     for unit in _stack(p, "v2v"):
         v, _ = _attend(v, v, unit, clip_mask)
@@ -212,16 +210,15 @@ def _encode_t(pairs, p, grid_config: GridConfig):
     for row, t in zip(words, token_seqs):
         row[: len(t.matrix)] = t.matrix
     word_mask = np.arange(words.shape[1]) < lengths[:, None]
-    padded = not word_mask.all()
     q = _affine(words, p["query_proj.w"], p["query_proj.b"])
     for unit in _stack(p, "q2q"):
-        q, _ = _attend(q, q, unit, word_mask[:, None, :] if padded else None)
+        q, _ = _attend(q, q, unit, word_mask[:, None, :])
 
     props, q, word_mask = ad.pick(props, video_of), ad.pick(q, query_of), word_mask[query_of]
     # Cross-attention updates both sides simultaneously from the pre-update
     # features, one layer at a time.
     for qv_unit, vq_unit in zip(_stack(p, "q2v"), _stack(p, "v2q")):
-        new_props, _ = _attend(props, q, qv_unit, word_mask[:, None, :] if padded else None)
+        new_props, _ = _attend(props, q, qv_unit, word_mask[:, None, :])
         new_q, _ = _attend(q, props, vq_unit)
         props, q = new_props, new_q
     return props, q, word_mask, grid
@@ -231,14 +228,6 @@ def encode(video, query, params, grid_config: GridConfig):
     """Run the encoder; returns (proposal_feats L_s x D, word_feats L_w x D)."""
     props, q, _, _ = _encode_t([(video, query)], params, grid_config)
     return props.value[0], q.value[0]
-
-
-def pool_sentence(word_feats: np.ndarray) -> np.ndarray:
-    """Column-wise max over word rows: the sentence vector."""
-    word_feats = np.asarray(word_feats)
-    if word_feats.ndim != 2 or word_feats.shape[0] < 1:
-        raise ValueError("need at least one word row")
-    return word_feats.max(axis=0)
 
 
 def _fuse_rows_t(props: Tensor, sent: Tensor, p) -> Tensor:
@@ -255,15 +244,6 @@ def _fuse_rows_t(props: Tensor, sent: Tensor, p) -> Tensor:
         ad.mul(props, q_mat),
         _affine(both, p["fusion.w"], p["fusion.b"]),
     ])
-
-
-def fuse(s_vec: np.ndarray, q_vec: np.ndarray, params) -> np.ndarray:
-    """Fuse one proposal vector with one sentence vector into a 3D-vector."""
-    s = np.asarray(s_vec, dtype=np.float64)
-    q = np.asarray(q_vec, dtype=np.float64)
-    if s.shape != q.shape or s.ndim != 1:
-        raise ValueError("fuse expects two equal-length vectors")
-    return _fuse_rows_t(ad.constant(s[None, :]), ad.constant(q), params).value[0]
 
 
 def _score_t(fused: Tensor, p) -> Tensor:
@@ -289,12 +269,6 @@ def _score_t(fused: Tensor, p) -> Tensor:
     context = ad.reshape(ad.matmul(weights, ad.reshape(fv, fv.shape + (1,))), fv.shape)
     logits = ad.add(ad.add(ad.matvec(fused, u), context), bias)
     return ad.sigmoid(logits)
-
-
-def score_proposals(fused: np.ndarray, params, grid: ProposalGrid | None = None) -> MatchScores:
-    """Self-attend the fused rows, then apply the sigmoid linear classifier."""
-    scores = _score_t(ad.constant(np.asarray(fused, dtype=np.float64)), params)
-    return MatchScores(scores.value.copy(), grid, scores)
 
 
 def match_pairs(pairs, params, grid_config: GridConfig) -> MatchScores:

@@ -31,10 +31,6 @@ class Segment:
         if not (0 <= self.start < self.end):
             raise ValueError(f"invalid segment ({self.start}, {self.end})")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 def _bounds(seg) -> tuple[float, float]:
     """Extract (start, end) from a Segment or a plain pair."""
@@ -92,9 +88,6 @@ class ProposalGrid:
     """
 
     segments: tuple[Segment, ...]
-    window_sizes: tuple[int, ...]
-    stride: int
-    num_clips: int
     starts: np.ndarray = field(init=False, repr=False, compare=False)
     ends: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -130,17 +123,18 @@ def generate_proposals(l_c: int, window_sizes, stride: int) -> ProposalGrid:
     if stride < 1:
         raise ValueError("stride must be >= 1")
     segments: list[Segment] = []
-    kept_sizes: list[int] = []
     for w in window_sizes:
         if w < 1:
             raise ValueError(f"window size must be >= 1, got {w}")
         if w > l_c:
             warnings.warn(f"window size {w} exceeds clip count {l_c}; skipped")
             continue
-        kept_sizes.append(w)
         for k in range((l_c - w) // stride + 1):
             segments.append(Segment(k * stride, k * stride + w))
-    return ProposalGrid(tuple(segments), tuple(kept_sizes), stride, l_c)
+    return ProposalGrid(tuple(segments))
+
+
+_GRID_CACHE: dict[tuple, ProposalGrid] = {}
 
 
 @dataclass(frozen=True)
@@ -162,25 +156,16 @@ class GridConfig:
             raise ConfigError("[model] window_sizes must be one or more sizes >= 1, got "
                               f"{list(self.window_sizes)}", key="model.window_sizes")
 
-    def grid_for(self, l_c: int) -> "ProposalGrid":
-        grid = cached_grid(l_c, self.window_sizes, self.stride)
+    def grid_for(self, l_c: int) -> ProposalGrid:
+        """The proposal grid over ``l_c`` clips, built once per (l_c, sizes, stride)."""
+        key = (l_c, tuple(self.window_sizes), self.stride)
+        if key not in _GRID_CACHE:
+            _GRID_CACHE[key] = generate_proposals(l_c, self.window_sizes, self.stride)
+        grid = _GRID_CACHE[key]
         if not len(grid):
             raise ConfigError(f"[model] window_sizes {list(self.window_sizes)}: no window "
                               f"fits l_c = {l_c} clips", key="model.window_sizes")
         return grid
-
-
-_GRID_CACHE: dict[tuple, ProposalGrid] = {}
-
-
-def cached_grid(l_c: int, window_sizes, stride: int) -> ProposalGrid:
-    """generate_proposals with memoisation on (l_c, sizes, stride)."""
-    key = (l_c, tuple(window_sizes), stride)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        grid = generate_proposals(l_c, window_sizes, stride)
-        _GRID_CACHE[key] = grid
-    return grid
 
 
 def clips_to_seconds(seg, duration: float, l_c: int) -> tuple[float, float]:

@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ClipSequence, EmbeddingTable, Sentence, VideoRecord, save_corpus, tokenize
+from .data import (ClipSequence, EmbeddingTable, Sentence, VideoRecord, atomic_write, save_corpus,
+                   tokenize)
 from .errors import DataError
 from .segments import GridConfig, Segment, clips_to_seconds, iou
 
@@ -60,6 +61,12 @@ class SynthConfig:
             raise DataError("event lengths must be positive even clip counts")
         if not 0 <= self.ambiguity_rate <= 1:
             raise DataError("ambiguity_rate must lie in [0, 1]")
+        for name in ("d_v", "d_t", "tokens_per_type"):
+            if getattr(self, name) < 1:
+                raise DataError(f"[synth] {name} must be >= 1, got {getattr(self, name)}")
+        if self.ambiguity_rate > 0 and self.num_confusers < 1:
+            raise DataError("[synth] num_confusers must be >= 1 when ambiguity_rate > 0, "
+                            f"got {self.num_confusers}")
 
 
 @dataclass
@@ -184,7 +191,7 @@ def emit_corpus(corpus: SynthCorpus, out_dir) -> dict:
         "num_videos": len(corpus.records),
         "digest": digest.hexdigest(),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return manifest

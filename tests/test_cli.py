@@ -241,6 +241,10 @@ class TestBadTrainSettings:
         ("depth_self = 1", "depth_self = -1", ("[model] depth_self",)),
         ("batch_videos = 2", "batch_videos = 2\nmax_concat_len = 0", ("[train] max_concat_len",)),
         *[(old, new, ("[model] window_sizes", "stride")) for old, new in ONE_START_GRIDS],
+        ("[data]\nl_c = 16", "[data]\nl_c = 0", ("[data] l_c",)),
+        ("pool_span = 1", "pool_span = 0", ("[data] pool_span",)),
+        ("pool_span = 1", "pool_span = 1\nmax_sentence_len = 0", ("[data] max_sentence_len",)),
+        ("pool_span = 1", "pool_span = 1\nmax_sentence_len = -1", ("[data] max_sentence_len",)),
     ])
     def test_exit_2_names_the_setting(self, workdir, tmp_path, old, new, names):
         cfg = ini(tmp_path, RUN_INI.replace(old, new), "bad.ini")
@@ -256,6 +260,29 @@ class TestBadTrainSettings:
         cfg = ini(tmp_path, RUN_INI.replace(old, new), "bce.ini")
         assert main(["train", workdir["data"], str(tmp_path / "x.ckpt"), "--config", cfg,
                      "--loss", "bce"]) == 0
+
+
+class TestBadSynthSettings:
+    """[synth] sizes that cannot make a loadable corpus exit 2 before writing."""
+
+    @pytest.mark.parametrize("old, new, name", [
+        ("tokens_max = 3", "tokens_max = 3\ntokens_per_type = 0", "[synth] tokens_per_type"),
+        ("tokens_max = 3", "tokens_max = 3\nnum_confusers = 0", "[synth] num_confusers"),
+        ("d_v = 8", "d_v = 0", "[synth] d_v"),
+        ("d_t = 8", "d_t = 0", "[synth] d_t"),
+    ])
+    def test_exit_2_names_the_setting(self, tmp_path, old, new, name):
+        cfg = ini(tmp_path, RUN_INI.replace(old, new), "bad.ini")
+        proc = run_cli("synth", str(tmp_path / "data"), "--config", cfg)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and name in errors[0], proc.stderr
+        assert not (tmp_path / "data" / "manifest.json").exists()
+
+    def test_no_confusers_without_ambiguity(self, tmp_path):
+        text = RUN_INI.replace("ambiguity_rate = 0.25", "ambiguity_rate = 0.0\nnum_confusers = 0")
+        assert main(["synth", str(tmp_path / "data"), "--config", ini(tmp_path, text)]) == 0
 
 
 class TestEvalCommand:

@@ -199,7 +199,7 @@ class TestConcatQueries:
 class TestSemanticPartition:
     def test_spec_iou_triple(self):
         # IoUs vs hull (0,5): 1.0, 0.6, and 0.3
-        grid = ProposalGrid((Segment(0, 5), Segment(0, 3), Segment(2, 10)), (3, 5, 8), 1, 10)
+        grid = ProposalGrid((Segment(0, 5), Segment(0, 3), Segment(2, 10)))
         scores = MatchScores(np.array([0.7, 0.6, 0.2]), grid)
         part = semantic_partition(scores, Segment(0, 5), 0.5)
         assert part.positive == (0, 0.7)
@@ -207,7 +207,7 @@ class TestSemanticPartition:
         assert [i for i, _ in part.excluded] == [1]
 
     def test_argmax_positive_kept_even_below_tau(self):
-        grid = ProposalGrid((Segment(0, 2), Segment(8, 10)), (2,), 1, 10)
+        grid = ProposalGrid((Segment(0, 2), Segment(8, 10)))
         scores = MatchScores(np.array([0.5, 0.5]), grid)
         part = semantic_partition(scores, Segment(0, 1), 0.9)
         assert part.positive[0] == 0

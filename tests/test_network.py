@@ -10,18 +10,16 @@ from momentloc import (
     attention_unit,
     clips_to_seconds,
     encode,
-    fuse,
     init_params,
     lift,
     localize,
     localize_pairs,
     match,
     match_pairs,
-    pool_sentence,
-    score_proposals,
 )
 from momentloc import autodiff as ad
 from momentloc.losses import concat_queries
+from momentloc.network import _fuse_rows_t
 
 GRID = GridConfig((2, 4), 2)
 
@@ -168,17 +166,20 @@ def numpy_encode(video, query, params, grid):
     return props, q
 
 
-def numpy_match(video, query, params, grid_config):
+def numpy_match(video, query, params, grid_config, pool=lambda q: q.max(axis=0),
+                attend=lambda f, u: attention_unit(f, f, u).output):
+    """Match scores recomposed from numpy pieces: ``pool`` turns the word
+    rows into the sentence vector, ``attend`` self-attends the fused rows."""
     grid = grid_config.grid_for(video.clips.l_c)
     props, q = numpy_encode(video, query, params, grid)
-    sent = q.max(axis=0)
+    sent = pool(q)
     fused = np.hstack([
         props + sent,
         props * sent,
         np.hstack([props, np.tile(sent, (len(props), 1))]) @ params["fusion.w"].T
         + params["fusion.b"],
     ])
-    att = attention_unit(fused, fused, unit(params, "proposal_attn")).output
+    att = attend(fused, unit(params, "proposal_attn"))
     return 1.0 / (1.0 + np.exp(-(att @ params["classifier.w"] + params["classifier.b"])))
 
 
@@ -213,78 +214,102 @@ class TestEncode:
 
 
 class TestPoolSentence:
+    """The sentence vector inside match: the column-wise max over a query's
+    own word rows, never over the padding of a stacked forward."""
+
     def test_single_row(self):
-        row = np.array([[1.0, -2.0, 3.0]])
-        assert np.array_equal(pool_sentence(row), row[0])
+        video, query, params = rig(l_w=1, seed=7)
+        want = numpy_match(video, query, params, GRID, pool=lambda q: q[0])
+        assert np.allclose(match(video, query, params, GRID).scores, want, rtol=0, atol=1e-12)
 
     def test_equal_rows(self):
-        rows = np.tile([0.5, 0.25], (4, 1))
-        assert np.array_equal(pool_sentence(rows), [0.5, 0.25])
+        video, query, params = rig(l_w=1, seed=8, depth_self=0, depth_cross=0)
+        four = token_seq(np.tile(query.matrix, (4, 1)))
+        assert np.allclose(match(video, four, params, GRID).scores,
+                           match(video, query, params, GRID).scores, rtol=0, atol=1e-12)
 
     def test_random_vs_direct_scan(self):
-        m = np.random.default_rng(7).normal(size=(3, 4))
-        want = [max(m[i][j] for i in range(3)) for j in range(4)]
-        assert np.array_equal(pool_sentence(m), want)
+        video, _, params = rig(d_t=4, seed=9, depth_self=0, depth_cross=0)
+        # Word rows whose projections are all negative: the zero-bias
+        # projection of a padding row (zeros) would win an unmasked max.
+        targets = -np.random.default_rng(9).uniform(1, 2, size=(2, 4))
+        query = token_seq(np.linalg.solve(params["query_proj.w"], targets.T).T)
+        longer = token_seq(np.random.default_rng(10).normal(size=(6, 4)))
+
+        def scan(q):
+            return [max(q[i][j] for i in range(len(q))) for j in range(q.shape[1])]
+
+        want = numpy_match(video, query, params, GRID, pool=scan)
+        got = match_pairs([(video, longer), (video, query)], params, GRID).scores[1]
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pool_sentence(np.zeros((0, 3)))
+        with pytest.raises(DataError):
+            token_seq(np.zeros((0, 2)))
 
 
 class TestFuse:
+    """The fusion stage of match_pairs: (S+Q) || S*Q || FC(S||Q) per proposal row."""
+
+    @staticmethod
+    def fuse(props, sent, params):
+        return _fuse_rows_t(ad.constant(props), ad.constant(sent), params).value
+
     def test_zero_inputs_zero_output(self):
         params = tiny_params(3, 3, 3)
-        assert np.array_equal(fuse(np.zeros(3), np.zeros(3), params), np.zeros(9))
+        assert np.array_equal(self.fuse(np.zeros((1, 3)), np.zeros(3), params), np.zeros((1, 9)))
 
     def test_each_third_by_hand(self):
         rng = np.random.default_rng(9)
         params = tiny_params(3, 3, 3, seed=9)
-        s, q = rng.normal(size=3), rng.normal(size=3)
-        out = fuse(s, q, params)
-        assert out.shape == (9,)
-        assert np.allclose(out[:3], s + q, atol=1e-12)
-        assert np.allclose(out[3:6], s * q, atol=1e-12)
-        want_fc = params["fusion.w"] @ np.concatenate([s, q]) + params["fusion.b"]
-        assert np.allclose(out[6:], want_fc, atol=1e-12)
+        s, q = rng.normal(size=(2, 3)), rng.normal(size=3)
+        out = self.fuse(s, q, params)
+        assert out.shape == (2, 9)
+        assert np.allclose(out[:, :3], s + q, atol=1e-12)
+        assert np.allclose(out[:, 3:6], s * q, atol=1e-12)
+        want_fc = np.hstack([s, np.tile(q, (2, 1))]) @ params["fusion.w"].T + params["fusion.b"]
+        assert np.allclose(out[:, 6:], want_fc, atol=1e-12)
 
     def test_width_256_gives_768(self):
         params = tiny_params(256, 8, 8, depth_self=0, depth_cross=0)
         rng = np.random.default_rng(10)
-        assert fuse(rng.normal(size=256), rng.normal(size=256), params).shape == (768,)
+        out = self.fuse(rng.normal(size=(2, 5, 256)), rng.normal(size=(2, 256)), params)
+        assert out.shape == (2, 5, 768)
 
     def test_mismatched_vectors_rejected(self):
         params = tiny_params(3, 3, 3)
         with pytest.raises(ValueError):
-            fuse(np.zeros(3), np.zeros(4), params)
+            self.fuse(np.zeros((1, 3)), np.zeros(4), params)
 
 
 class TestScoreProposals:
+    """The proposal attention and sigmoid classifier at the end of match."""
+
     def test_zero_classifier_scores_half(self):
-        params = tiny_params(2, 2, 2)
-        params["classifier.w"] = np.zeros(6)
+        video, query, params = rig(seed=11)
+        params["classifier.w"] = np.zeros(12)
         params["classifier.b"] = np.zeros(())
-        fused = np.random.default_rng(11).normal(size=(5, 6))
-        ms = score_proposals(fused, params)
-        assert np.array_equal(ms.scores, np.full(5, 0.5))
+        ms = match(video, query, params, GRID)
+        assert np.array_equal(ms.scores, np.full(len(ms.grid), 0.5))
 
     def test_large_bias_saturates(self):
-        params = tiny_params(2, 2, 2)
-        params["classifier.w"] = np.zeros(6)
+        video, query, params = rig(seed=12)
+        params["classifier.w"] = np.zeros(12)
         params["classifier.b"] = np.array(25.0)
-        fused = np.random.default_rng(12).normal(size=(4, 6))
-        assert np.all(np.abs(score_proposals(fused, params).scores - 1.0) <= 1e-10)
+        assert np.all(np.abs(match(video, query, params, GRID).scores - 1.0) <= 1e-10)
 
     def test_three_proposal_scalar_oracle(self):
-        params = tiny_params(2, 2, 2, seed=13)
-        fused = np.random.default_rng(13).normal(size=(3, 6))
-        att, _ = scalar_attention_oracle(fused, fused, unit(params, "proposal_attn"))
-        want = 1.0 / (1.0 + np.exp(-(att @ params["classifier.w"] + params["classifier.b"])))
-        assert np.allclose(score_proposals(fused, params).scores, want, atol=1e-9)
+        video, query, params = rig(seed=13)
+        grid = GridConfig((4,), 2)
+        assert len(grid.grid_for(8)) == 3
+        want = numpy_match(video, query, params, grid,
+                           attend=lambda f, u: scalar_attention_oracle(f, f, u)[0])
+        assert np.allclose(match(video, query, params, grid).scores, want, atol=1e-9)
 
     def test_scores_strictly_inside_unit_interval(self):
-        params = tiny_params(2, 2, 2, seed=14)
-        fused = np.random.default_rng(14).normal(size=(6, 6)) * 30
-        scores = score_proposals(fused, params).scores
+        video, query, params = rig(seed=14)
+        big = make_record(video.clips.matrix * 30, [(np.ones(2), None)], duration=8.0)
+        scores = match(big, query, params, GRID).scores
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
 

@@ -6,7 +6,6 @@ import pytest
 from momentloc import (
     GridConfig,
     Segment,
-    cached_grid,
     clips_to_seconds,
     generate_proposals,
     hull,
@@ -148,8 +147,8 @@ class TestGenerateProposals:
             generate_proposals(8, (0,), 2)
 
     def test_cached_grid_reuses_instances(self):
-        a = cached_grid(32, (4, 8), 2)
-        b = cached_grid(32, (4, 8), 2)
+        a = GridConfig((4, 8), 2).grid_for(32)
+        b = GridConfig((4, 8), 2).grid_for(32)
         assert a is b
 
     def test_grid_config(self):
