@@ -107,14 +107,12 @@ from .synthetic import (
 from .training import (
     Adam,
     Checkpoint,
-    EpochMetrics,
     GradCheckReport,
     TrainConfig,
     default_gradient_check,
     gradient_check,
     grid_from_snapshot,
     load_checkpoint,
-    metrics_to_csv,
     sample_batch,
     save_checkpoint,
     train,

@@ -87,20 +87,6 @@ def add(a, b) -> Tensor:
         _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
 
 
-def add_n(terms) -> Tensor:
-    """Sum of same-shaped tensors as a single node."""
-    terms = tuple(as_tensor(t) for t in terms)
-    out_value = terms[0].value.copy()
-    for t in terms[1:]:
-        out_value += t.value
-    return Tensor(out_value, terms, lambda g: (g,) * len(terms))
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(-a.value, (a,), lambda g: (-g,))
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return Tensor(a.value * b.value, (a, b), lambda g: (
@@ -111,12 +97,6 @@ def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
     return Tensor(a.value * c, (a,), lambda g: (g * c,))
-
-
-def rsub_const(c: float, a) -> Tensor:
-    """c - a."""
-    a = as_tensor(a)
-    return Tensor(float(c) - a.value, (a,), lambda g: (-g,))
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -182,21 +162,21 @@ def concat_cols(parts) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.value
-    out_value = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                         np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_value = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return Tensor(out_value, (a,), lambda g: (g * out_value * (1.0 - out_value),))
 
 
-def log(a) -> Tensor:
+def neg_log(a, eps: float, complement: bool = False) -> Tensor:
+    """-log p, or -log(1 - p) with ``complement``, where p is ``a`` clipped to
+    [eps, 1 - eps]; gradient passes only where the clip is inactive."""
     a = as_tensor(a)
-    return Tensor(np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    """Clip values; gradient passes only where the clamp is inactive."""
-    a = as_tensor(a)
-    inside = (a.value > lo) & (a.value < hi)
-    return Tensor(np.clip(a.value, lo, hi), (a,), lambda g: (g * inside,))
+    inside = (a.value > eps) & (a.value < 1.0 - eps)
+    p = np.clip(a.value, eps, 1.0 - eps)
+    if complement:
+        q = 1.0 - p
+        return Tensor(-np.log(q), (a,), lambda g: ((g / q) * inside,))
+    return Tensor(-np.log(p), (a,), lambda g: ((-g / p) * inside,))
 
 
 def softmax_rows(a, mask: np.ndarray | None = None) -> Tensor:

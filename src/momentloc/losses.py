@@ -19,6 +19,7 @@ before any logarithm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -71,10 +72,6 @@ def _scores_tensor(scores) -> Tensor:
     return ad.as_tensor(scores)
 
 
-def _clamped(t: Tensor) -> Tensor:
-    return ad.clamp(t, EPS, 1.0 - EPS)
-
-
 def video_score(scores) -> Tensor:
     """Video-level matching probability: the max over the last axis of the
     proposal scores, 0-d for one (L_s,) row and (pairs,) for stacked
@@ -90,12 +87,9 @@ def bce_loss(p_pos, p_neg_q, p_neg_v) -> Tensor:
     The doubled positive term balances the one positive against the two
     negatives.
     """
-    terms = [
-        ad.scale(ad.log(_clamped(ad.as_tensor(p_pos))), -2.0),
-        ad.neg(ad.log(ad.rsub_const(1.0, _clamped(ad.as_tensor(p_neg_q))))),
-        ad.neg(ad.log(ad.rsub_const(1.0, _clamped(ad.as_tensor(p_neg_v))))),
-    ]
-    return ad.add_n(terms)
+    positive = ad.scale(ad.neg_log(p_pos, EPS), 2.0)
+    return ad.add(ad.add(positive, ad.neg_log(p_neg_q, EPS, complement=True)),
+                  ad.neg_log(p_neg_v, EPS, complement=True))
 
 
 def joint_probability(scores_j, scores_jp) -> Tensor:
@@ -160,14 +154,14 @@ def _contrast_sum(rows: Tensor, pos_mask: np.ndarray, neg_mask: np.ndarray) -> T
     ``rows`` is a 2-D tensor of probabilities; a row with no negative entry
     contributes its first term only.
     """
-    loss = ad.sum_all(ad.neg(ad.log(_clamped(_max_over(rows, pos_mask)))))
+    loss = ad.sum_all(ad.neg_log(_max_over(rows, pos_mask), EPS))
     has_neg = neg_mask.any(axis=1)
     if has_neg.any():
         keep = np.flatnonzero(has_neg)
         if len(keep) < len(has_neg):
             rows, neg_mask = ad.pick(rows, keep), neg_mask[keep]
         worst = _max_over(rows, neg_mask)
-        loss = ad.add(loss, ad.sum_all(ad.neg(ad.log(ad.rsub_const(1.0, _clamped(worst))))))
+        loss = ad.add(loss, ad.sum_all(ad.neg_log(worst, EPS, complement=True)))
     return loss
 
 
@@ -351,7 +345,7 @@ def total_loss(batch, params, config: LossConfig) -> LossBreakdown:
             components["smt"] = ad.scale(_smt_sum(ad.pick(scores, np.array(smt_rows)), sem),
                                          1.0 / len(sem))
     return LossBreakdown(
-        total=ad.add_n(list(components.values())),
+        total=reduce(ad.add, components.values()),
         bce=float(components.get("bce", 0.0)),
         tmp=float(components.get("tmp", 0.0)),
         smt=float(components.get("smt", 0.0)),

@@ -59,6 +59,14 @@ class SynthConfig:
             raise DataError("event types are drawn without replacement per video")
         if any(l % 2 or l < 2 for l in self.event_lengths):
             raise DataError("event lengths must be positive even clip counts")
+        if not self.event_lengths:
+            raise DataError("[synth] event_lengths must list at least one length")
+        spans = {"events": (self.events_min, self.events_max), "tokens": self.tokens_per_sentence}
+        for kind, (lo, hi) in spans.items():
+            if not 1 <= lo <= hi:
+                raise DataError(f"[synth] {kind}_min must lie in [1, {kind}_max = {hi}], got {lo}")
+        if not 0 <= self.test_fraction <= 1:
+            raise DataError(f"[synth] test_fraction must lie in [0, 1], got {self.test_fraction}")
         if not 0 <= self.ambiguity_rate <= 1:
             raise DataError("ambiguity_rate must lie in [0, 1]")
         for name in ("d_v", "d_t", "tokens_per_type"):

@@ -59,7 +59,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for key, least in (("model.d", 1), ("model.depth_self", 0), ("model.depth_cross", 0),
-                           ("train.max_concat_len", 1)):
+                           ("train.epochs", 1), ("train.max_concat_len", 1)):
             section, name = key.split(".")
             value = getattr(self, name)
             if value < least:
@@ -151,15 +151,6 @@ def _clip_grads(grads: dict, max_norm: float):
 
 
 @dataclass
-class EpochMetrics:
-    epoch: int
-    loss: float
-    bce: float
-    tmp: float
-    smt: float
-
-
-@dataclass
 class Checkpoint:
     """Trained parameters plus everything needed to reproduce and audit them."""
 
@@ -178,13 +169,6 @@ def grid_from_snapshot(config: dict) -> GridConfig:
 def _rng_digest(rng) -> str:
     state = json.dumps(rng.bit_generator.state, sort_keys=True)
     return hashlib.sha256(state.encode()).hexdigest()
-
-
-def metrics_to_csv(rows) -> str:
-    lines = ["epoch,loss,bce,tmp,smt"]
-    for r in rows:
-        lines.append(f"{r.epoch},{r.loss!r},{r.bce!r},{r.tmp!r},{r.smt!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _one_shape(records) -> tuple:
@@ -230,7 +214,7 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
     loss_cfg = config.loss_config()
     batches_per_epoch = math.ceil(len(records) / config.batch_videos)
 
-    metrics = []
+    csv_rows = ["epoch,loss,bce,tmp,smt"]
     order_series = []
     for epoch in range(config.epochs):
         sums = np.zeros(4)
@@ -254,8 +238,8 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
                 flags.append(breakdown.order_consistent_fraction)
             # Free this step's tape before the next forward builds another.
             del breakdown, lifted, grads
-        means = [float(x) for x in sums / batches_per_epoch]
-        metrics.append(EpochMetrics(epoch, *means))
+        means = sums / batches_per_epoch
+        csv_rows.append(",".join([str(epoch)] + [repr(float(x)) for x in means]))
         order_series.append(sum(flags) / len(flags) if flags else None)
 
     params32 = ModelParams({k: v.astype(np.float32) for k, v in params.items()})
@@ -269,7 +253,7 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
         config=snapshot,
         epoch=config.epochs,
         rng_digest=_rng_digest(rng),
-        metrics_csv=metrics_to_csv(metrics),
+        metrics_csv="\n".join(csv_rows) + "\n",
         order_consistency=order_series,
     )
 

@@ -1,5 +1,6 @@
 """Finite-difference checks for every primitive in the reverse-mode tape,
-plus guards on the op contract and on the tape of one ``match``."""
+plus guards on the op contract and on the tapes of one ``match`` and one
+``total_loss``."""
 
 import inspect
 from collections import Counter
@@ -7,7 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from momentloc import SYNTH_GRID, SynthConfig, generate_corpus, init_params, lift, match
+from momentloc import (SYNTH_GRID, LossConfig, SynthConfig, generate_corpus, init_params, lift,
+                       match, sample_batch, total_loss)
 from momentloc import autodiff as ad
 
 
@@ -63,14 +65,8 @@ class TestElementwise:
         base = RNG.normal(size=(3, 4))
         check_op(lambda x: total(ad.add(ad.constant(base), x)), b)
 
-    def test_add_n(self):
-        c = [ad.constant(RNG.normal(size=())) for _ in range(3)]
-        check_op(lambda x: ad.add_n([x, *c]), RNG.normal(size=()))
-
     def test_neg_scale_add_const_rsub(self):
-        check_op(lambda x: total(ad.neg(x)), RNG.normal(size=(2, 3)))
         check_op(lambda x: total(ad.scale(x, -2.5)), RNG.normal(size=(2, 3)))
-        check_op(lambda x: total(ad.rsub_const(1.0, x)), RNG.normal(size=(2, 3)))
 
     def test_mul(self):
         b = RNG.normal(size=(3, 2))
@@ -84,18 +80,29 @@ class TestElementwise:
         assert big.value[0] == pytest.approx(1.0)
         assert big.value[1] == pytest.approx(0.0)
 
-    def test_log(self):
-        check_op(lambda x: total(ad.log(x)), RNG.uniform(0.2, 2.0, size=(2, 2)))
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_neg_log(self, complement):
+        eps = 1e-7
+        check_op(lambda x: total(ad.neg_log(x, eps, complement)), RNG.uniform(0.1, 0.9, (2, 3)))
+        # value and gradient are exactly these numpy expressions, clip included
+        x = np.array([-1.0, 0.0, eps, 3e-7, 0.25, 0.5, 1.0 - 3e-7, 1.0 - eps, 1.0, 2.0])
+        g = RNG.normal(size=x.shape)
+        inside = (x > eps) & (x < 1 - eps)
+        p = np.clip(x, eps, 1 - eps)
+        out = ad.neg_log(ad.constant(x), eps, complement)
+        (grad,) = out._backward(g)
+        if complement:
+            value, expect = -np.log(1.0 - p), (g / (1.0 - p)) * inside
+        else:
+            value, expect = -np.log(p), (-g / p) * inside
+        assert np.array_equal(out.value, value) and np.array_equal(grad, expect)
 
     def test_clamp_interior_and_beyond(self):
-        x0 = np.array([0.2, 0.8])
-        check_op(lambda x: total(ad.clamp(x, 0.0, 1.0)), x0)
-        out = ad.clamp(ad.parameter(np.array([-1.0, 0.5, 2.0])), 0.0, 1.0)
-        s = total(out)
-        ad.backward(s)
-        grads = out.parents[0].grad
-        assert grads[0] == 0.0 and grads[2] == 0.0  # clipped coords get no grad
-        assert grads[1] != 0.0
+        for complement in (False, True):
+            leaf = ad.parameter(np.array([-1.0, 0.5, 2.0]))
+            ad.backward(total(ad.neg_log(leaf, 1e-7, complement)))
+            assert leaf.grad[0] == 0.0 and leaf.grad[2] == 0.0  # clipped coords get no grad
+            assert leaf.grad[1] != 0.0
 
 
 class TestLinear:
@@ -291,19 +298,16 @@ def _arr(*shape):
 # cases of one op. Shapes include broadcasting, 1-D and 0-d cases.
 OP_CASES = {
     "add": lambda: ad.add(_arr(3, 4), _arr(4)),
-    "add_n": lambda: ad.add_n([_arr(2, 3), _arr(2, 3), _arr(2, 3)]),
-    "neg": lambda: ad.neg(_arr(2, 3)),
     "mul": lambda: ad.mul(_arr(3, 1), _arr(3, 4)),
     "scale": lambda: ad.scale(_arr(2, 3), 1.5),
-    "rsub_const": lambda: ad.rsub_const(1.0, _arr(3)),
     "matmul": lambda: ad.matmul(_arr(3, 4), _arr(4, 2)),
     "matvec": lambda: ad.matvec(_arr(3, 4), _arr(4)),
     "transpose": lambda: ad.transpose(_arr(2, 5)),
     "reshape": lambda: ad.reshape(_arr(2, 5), (10,)),
     "concat_cols": lambda: ad.concat_cols([_arr(3, 2), _arr(3, 1), _arr(3, 4)]),
     "sigmoid": lambda: ad.sigmoid(_arr(2, 3)),
-    "log": lambda: ad.log(ad.constant(RNG.uniform(0.5, 2.0, size=(2, 3)))),
-    "clamp": lambda: ad.clamp(_arr(4), -0.5, 0.5),
+    "neg_log": lambda: ad.neg_log(ad.constant(RNG.uniform(0.05, 0.95, size=(2, 3))), 1e-7),
+    "neg_log/complement": lambda: ad.neg_log(_arr(4), 0.25, complement=True),
     "softmax_rows": lambda: ad.softmax_rows(_arr(3, 4), np.array([True, False, True, True])),
     "segment_max": lambda: ad.segment_max(_arr(6, 3), [(0, 2), (1, 5)]),
     "max_rows": lambda: ad.max_rows(_arr(4, 3)),
@@ -330,6 +334,17 @@ def op_name(node) -> str:
     return "leaf" if node._backward is None else node._backward.__qualname__.split(".")[0]
 
 
+def tape_nodes(root) -> list:
+    """Every node reachable from ``root``, each once."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+    return list(nodes.values())
+
+
 class TestOpContract:
     def test_table_lists_every_public_op(self):
         public = {name for name, fn in vars(ad).items()
@@ -350,18 +365,28 @@ class TestOpContract:
     def test_match_tape_node_counts(self):
         record = generate_corpus(SynthConfig(num_videos=4, seed=0)).records[0]
         params = lift(init_params(16, 16, 16, 1, 1, np.random.default_rng(0)))
-        nodes, stack = {}, [match(record, record.paragraph[0], params, SYNTH_GRID).tensor]
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node.parents)
+        nodes = tape_nodes(match(record, record.paragraph[0], params, SYNTH_GRID).tensor)
         # the one-pair case of the stacked forward: three gathers (proposals,
         # words, the score row) over the tape of a single-pair forward, whose
         # classifier is folded into the proposal attention's value path
         assert len(nodes) == 133
-        assert Counter(op_name(n) for n in nodes.values()) == {
+        assert Counter(op_name(n) for n in nodes) == {
             "leaf": 36, "matmul": 31, "transpose": 23, "add": 16, "scale": 5,
             "softmax_rows": 5, "pick": 3, "concat_cols": 2, "matvec": 5, "max_rows": 1,
             "mul": 1, "reshape": 3, "segment_max": 1, "sigmoid": 1,
+        }
+
+    def test_total_loss_tape_node_counts(self):
+        # one training step's objective at the acceptance shape, all three
+        # losses: each -log term is one neg_log node
+        rng = np.random.default_rng(0)
+        records = generate_corpus(SynthConfig(num_videos=64, seed=1)).records
+        params = lift(init_params(16, 16, 16, 1, 1, rng))
+        batch = sample_batch(records, 32, rng)
+        nodes = tape_nodes(total_loss(batch, params, LossConfig(grid=SYNTH_GRID)).total)
+        assert len(nodes) == 175
+        assert Counter(op_name(n) for n in nodes) == {
+            "leaf": 36, "matmul": 32, "transpose": 27, "add": 22, "scale": 9, "pick": 8,
+            "reshape": 8, "neg_log": 7, "max_rows": 6, "sum_all": 5, "matvec": 5,
+            "softmax_rows": 5, "concat_cols": 2, "sigmoid": 1, "segment_max": 1, "mul": 1,
         }

@@ -228,7 +228,7 @@ ONE_START_GRIDS = [("window_sizes = 8,16", "window_sizes = 16"), ("stride = 8", 
 class TestBadTrainSettings:
     """Settings that cannot train exit 2 before any forward: grids that
     admit no proposal, or only proposals with one start under the temporal
-    and semantic losses, and out-of-range model and train integers."""
+    and semantic losses, and out-of-range model, train and data integers."""
 
     @pytest.mark.parametrize("old, new, names", [
         ("stride = 8", "stride = 0", ("[model] stride",)),
@@ -245,6 +245,8 @@ class TestBadTrainSettings:
         ("pool_span = 1", "pool_span = 0", ("[data] pool_span",)),
         ("pool_span = 1", "pool_span = 1\nmax_sentence_len = 0", ("[data] max_sentence_len",)),
         ("pool_span = 1", "pool_span = 1\nmax_sentence_len = -1", ("[data] max_sentence_len",)),
+        ("epochs = 2", "epochs = 0", ("[train] epochs",)),
+        ("epochs = 2", "epochs = -1", ("[train] epochs",)),
     ])
     def test_exit_2_names_the_setting(self, workdir, tmp_path, old, new, names):
         cfg = ini(tmp_path, RUN_INI.replace(old, new), "bad.ini")
@@ -263,13 +265,21 @@ class TestBadTrainSettings:
 
 
 class TestBadSynthSettings:
-    """[synth] sizes that cannot make a loadable corpus exit 2 before writing."""
+    """[synth] sizes and ranges that cannot make a loadable corpus, or
+    would silently drop a split, exit 2 before writing."""
 
     @pytest.mark.parametrize("old, new, name", [
         ("tokens_max = 3", "tokens_max = 3\ntokens_per_type = 0", "[synth] tokens_per_type"),
         ("tokens_max = 3", "tokens_max = 3\nnum_confusers = 0", "[synth] num_confusers"),
         ("d_v = 8", "d_v = 0", "[synth] d_v"),
         ("d_t = 8", "d_t = 0", "[synth] d_t"),
+        ("events_min = 2", "events_min = 3", "[synth] events_min"),
+        ("tokens_min = 2", "tokens_min = 4", "[synth] tokens_min"),
+        ("event_lengths = 4,6", "event_lengths =", "[synth] event_lengths"),
+        ("events_min = 2", "events_min = 0", "[synth] events_min"),
+        ("tokens_min = 2", "tokens_min = 0", "[synth] tokens_min"),
+        ("tokens_max = 3", "tokens_max = 3\ntest_fraction = -1", "[synth] test_fraction"),
+        ("tokens_max = 3", "tokens_max = 3\ntest_fraction = 2", "[synth] test_fraction"),
     ])
     def test_exit_2_names_the_setting(self, tmp_path, old, new, name):
         cfg = ini(tmp_path, RUN_INI.replace(old, new), "bad.ini")

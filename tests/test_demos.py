@@ -23,6 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_exits_zero(name, tmp_path):
     # TMPDIR keeps the scratch directory of demo 05 inside tmp_path
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")], env=env,
-                          capture_output=True, text=True, timeout=300)
+    # the subprocess does not see pytest's filterwarnings, so pass the same policy
+    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning",
+                           "-W", "error::RuntimeWarning", str(ROOT / "demos" / f"{name}.py")],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
