@@ -81,6 +81,7 @@ from .network import (
     match,
     match_pairs,
     params_from_named,
+    prepare,
 )
 from .segments import (
     GridConfig,

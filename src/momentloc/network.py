@@ -7,6 +7,10 @@ per proposal with the max-pooled sentence vector, passed through one more
 self-attention unit over the fused rows, and scored by a sigmoid linear
 classifier. The forward pass is built on the autodiff tape so the same code
 serves evaluation and training.
+
+The products of parameters alone (each attention unit's W_q^T W_k and the
+classifier fold) go on the tape once per parameter set, in :func:`prepare`.
+``params`` may be arrays, ``lift`` leaves or a prepared mapping of either.
 """
 
 from __future__ import annotations
@@ -90,8 +94,35 @@ def lift(params) -> ModelParams:
     return ModelParams({name: ad.parameter(arr) for name, arr in params.items()})
 
 
+class _Prepared(dict):
+    """Parameter name -> tensor, plus the products of parameters alone."""
+
+
+def _query_key(w_q, w_k) -> Tensor:
+    """An attention unit's folded query-key matrix qk = W_q^T W_k."""
+    return ad.matmul(ad.transpose(w_q), w_k)
+
+
+def prepare(params) -> _Prepared:
+    """Every tensor of ``params`` (arrays of any float dtype, or ``lift``
+    leaves) as a float64 tape tensor, plus the products of parameters alone:
+    ``{unit}.qk`` of every attention unit and ``classifier.u``, ``.v`` and
+    ``.bias`` of :func:`_score_t`. A prepared mapping is returned unchanged.
+    """
+    if isinstance(params, _Prepared):
+        return params
+    p = _Prepared((name, ad.as_tensor(arr)) for name, arr in params.items())
+    for prefix in [name[: -len(".w_q")] for name in p if name.endswith(".w_q")]:
+        p[f"{prefix}.qk"] = _query_key(p[f"{prefix}.w_q"], p[f"{prefix}.w_k"])
+    c = p["classifier.w"]
+    p["classifier.u"] = ad.matvec(ad.transpose(p["proposal_attn.fc_w"]), c)
+    p["classifier.v"] = ad.matvec(ad.transpose(p["proposal_attn.w_v"]), p["classifier.u"])
+    p["classifier.bias"] = ad.add(ad.matvec(p["proposal_attn.fc_b"], c), p["classifier.b"])
+    return p
+
+
 def _unit(p, prefix: str) -> dict:
-    return {k: p[f"{prefix}.{k}"] for k in _ATTENTION_KEYS}
+    return {k: p[f"{prefix}.{k}"] for k in _ATTENTION_KEYS + ("qk",)}
 
 
 def _stack(p, stack: str) -> list:
@@ -127,20 +158,20 @@ class LocalizeResult:
 
 
 def _weights(target, reference, unit, mask=None) -> Tensor:
-    """Attention weights A on the tape: the row softmax of target . W_q^T .
-    W_k . reference^T scaled by 1/sqrt(dim); masked reference columns get
+    """Attention weights A on the tape: the row softmax of (target . qk) .
+    reference^T scaled by 1/sqrt(dim), where qk = W_q^T W_k is the unit's
+    folded query-key matrix (:func:`prepare`); masked reference columns get
     exactly zero weight."""
-    logits = ad.matmul(ad.matmul(ad.matmul(target, ad.transpose(unit["w_q"])), unit["w_k"]),
-                       ad.transpose(reference))
-    return ad.softmax_rows(ad.scale(logits, 1.0 / np.sqrt(unit["w_q"].shape[0])), mask)
+    logits = ad.matmul(ad.matmul(target, unit["qk"]), ad.transpose(reference))
+    return ad.softmax_rows(ad.scale(logits, 1.0 / np.sqrt(unit["qk"].shape[0])), mask)
 
 
 def _attend(target, reference, unit, mask=None) -> tuple:
     """One attention unit on the tape; returns (output, weights) tensors.
 
-    ``unit`` maps the five keys w_q, w_k, w_v, fc_w, fc_b to arrays or
-    leaves. The weights A are those of :func:`_weights`; the output is
-    FC(target + A . reference . W_v^T).
+    ``unit`` maps the five keys w_q, w_k, w_v, fc_w, fc_b and the folded
+    qk to tensors. The weights A are those of :func:`_weights`; the output
+    is FC(target + A . reference . W_v^T).
     """
     weights = _weights(target, reference, unit, mask)
     context = ad.matmul(weights, ad.matmul(reference, ad.transpose(unit["w_v"])))
@@ -158,7 +189,8 @@ def attention_unit(target: np.ndarray, reference: np.ndarray, params: dict,
         raise ValueError(f"feature width must be {dim}")
     if reference_mask is not None and len(reference_mask) != reference.shape[0]:
         raise ValueError("mask length must match reference rows")
-    out, weights = _attend(target, reference, params, reference_mask)
+    unit = {**params, "qk": _query_key(params["w_q"], params["w_k"])}
+    out, weights = _attend(target, reference, unit, reference_mask)
     return AttentionResult(out.value, weights.value)
 
 
@@ -226,7 +258,7 @@ def _encode_t(pairs, p, grid_config: GridConfig):
 
 def encode(video, query, params, grid_config: GridConfig):
     """Run the encoder; returns (proposal_feats L_s x D, word_feats L_w x D)."""
-    props, q, _, _ = _encode_t([(video, query)], params, grid_config)
+    props, q, _, _ = _encode_t([(video, query)], prepare(params), grid_config)
     return props.value[0], q.value[0]
 
 
@@ -257,17 +289,13 @@ def _score_t(fused: Tensor, p) -> Tensor:
         F u + A (F v) + (fc_b . c + b),  where u = fc_w^T c and v = W_v^T u.
 
     The W_v and fc products of the rows become matrix-vector products, and
-    only A is computed as in any attention unit.
+    only A is computed as in any attention unit. ``p`` is prepared
+    (:func:`prepare`), so u, v and the bias come computed.
     """
-    unit = _unit(p, "proposal_attn")
-    c = p["classifier.w"]
-    u = ad.matvec(ad.transpose(unit["fc_w"]), c)
-    v = ad.matvec(ad.transpose(unit["w_v"]), u)
-    weights = _weights(fused, fused, unit)
-    bias = ad.add(ad.matvec(unit["fc_b"], c), p["classifier.b"])
-    fv = ad.matvec(fused, v)
+    weights = _weights(fused, fused, _unit(p, "proposal_attn"))
+    fv = ad.matvec(fused, p["classifier.v"])
     context = ad.reshape(ad.matmul(weights, ad.reshape(fv, fv.shape + (1,))), fv.shape)
-    logits = ad.add(ad.add(ad.matvec(fused, u), context), bias)
+    logits = ad.add(ad.add(ad.matvec(fused, p["classifier.u"]), context), p["classifier.bias"])
     return ad.sigmoid(logits)
 
 
@@ -275,9 +303,11 @@ def match_pairs(pairs, params, grid_config: GridConfig) -> MatchScores:
     """Proposal-query matching scores for many (video, query) pairs in one
     stacked forward; ``scores`` and ``tensor`` are (pairs, L_s).
 
-    Every video must have the same ``l_c``. ``params`` holds arrays or, for
-    a backward pass, the leaves of ``lift``.
+    Every video must have the same ``l_c``. ``params`` holds arrays, the
+    leaves of ``lift`` for a backward pass, or either of those prepared by
+    :func:`prepare`, which this forward then does not repeat.
     """
+    params = prepare(params)
     props, q, word_mask, grid = _encode_t(list(pairs), params, grid_config)
     sent = ad.max_rows(q, word_mask[:, :, None])
     scores = _score_t(_fuse_rows_t(props, sent, params), params)

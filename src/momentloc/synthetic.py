@@ -53,12 +53,16 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.events_max < 2 or self.num_event_types < 2:
-            raise DataError("need events_max >= 2 and at least 2 event types")
+        for name in ("events_max", "num_event_types"):
+            if getattr(self, name) < 2:
+                raise DataError(f"[synth] {name} must be >= 2, got {getattr(self, name)}")
         if self.events_max > self.num_event_types:
-            raise DataError("event types are drawn without replacement per video")
+            raise DataError(f"[synth] events_max must be <= num_event_types = "
+                            f"{self.num_event_types} (event types are drawn without replacement "
+                            f"per video), got {self.events_max}")
         if any(l % 2 or l < 2 for l in self.event_lengths):
-            raise DataError("event lengths must be positive even clip counts")
+            raise DataError("[synth] event_lengths must be positive even clip counts, "
+                            f"got {list(self.event_lengths)}")
         if not self.event_lengths:
             raise DataError("[synth] event_lengths must list at least one length")
         spans = {"events": (self.events_min, self.events_max), "tokens": self.tokens_per_sentence}
@@ -68,8 +72,8 @@ class SynthConfig:
         if not 0 <= self.test_fraction <= 1:
             raise DataError(f"[synth] test_fraction must lie in [0, 1], got {self.test_fraction}")
         if not 0 <= self.ambiguity_rate <= 1:
-            raise DataError("ambiguity_rate must lie in [0, 1]")
-        for name in ("d_v", "d_t", "tokens_per_type"):
+            raise DataError(f"[synth] ambiguity_rate must lie in [0, 1], got {self.ambiguity_rate}")
+        for name in ("num_videos", "d_v", "d_t", "tokens_per_type"):
             if getattr(self, name) < 1:
                 raise DataError(f"[synth] {name} must be >= 1, got {getattr(self, name)}")
         if self.ambiguity_rate > 0 and self.num_confusers < 1:
@@ -104,7 +108,8 @@ def _place_events(rng, config) -> list:
         if sum(lengths) <= config.l_c:
             break
     else:
-        raise DataError("cannot fit events into the clip grid")
+        raise DataError(f"cannot fit {m} events of lengths {list(config.event_lengths)} into "
+                        f"[synth] l_c = {config.l_c} clips")
     slack_units = (config.l_c - sum(lengths)) // 2
     gaps = rng.multinomial(slack_units, [1.0 / (m + 1)] * (m + 1))
     placements = []

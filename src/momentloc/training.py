@@ -67,8 +67,17 @@ class TrainConfig:
         if self.batch_videos < 2:
             raise ConfigError("[train] batch_videos must be >= 2 (negative sampling)",
                               key="train.batch_videos")
-        if self.learning_rate <= 0:
-            raise ConfigError("[train] learning_rate must be positive", key="train.learning_rate")
+        for name in ("learning_rate", "adam_eps"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"[train] {name} must be positive, got {getattr(self, name)}",
+                                  key=f"train.{name}")
+        if self.grad_clip < 0:
+            raise ConfigError(f"[train] grad_clip must be >= 0 (0 disables clipping), "
+                              f"got {self.grad_clip}", key="train.grad_clip")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"[train] {name} must lie in [0, 1), got {getattr(self, name)}",
+                                  key=f"train.{name}")
 
     def loss_config(self) -> LossConfig:
         return LossConfig(self.grid, self.tau, self.use_bce, self.use_tmp,

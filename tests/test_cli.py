@@ -247,6 +247,13 @@ class TestBadTrainSettings:
         ("pool_span = 1", "pool_span = 1\nmax_sentence_len = -1", ("[data] max_sentence_len",)),
         ("epochs = 2", "epochs = 0", ("[train] epochs",)),
         ("epochs = 2", "epochs = -1", ("[train] epochs",)),
+        ("learning_rate = 0.001", "learning_rate = 0.001\nbeta1 = 1.0", ("[train] beta1",)),
+        ("learning_rate = 0.001", "learning_rate = 0.001\nbeta1 = -0.1", ("[train] beta1",)),
+        ("learning_rate = 0.001", "learning_rate = 0.001\nbeta2 = 1.5", ("[train] beta2",)),
+        ("learning_rate = 0.001", "learning_rate = 0.001\nbeta2 = 1.0", ("[train] beta2",)),
+        ("learning_rate = 0.001", "learning_rate = 0.001\nadam_eps = 0", ("[train] adam_eps",)),
+        ("learning_rate = 0.001", "learning_rate = 0.001\nadam_eps = -1e-8", ("[train] adam_eps",)),
+        ("learning_rate = 0.001", "learning_rate = 0.001\ngrad_clip = -1", ("[train] grad_clip",)),
     ])
     def test_exit_2_names_the_setting(self, workdir, tmp_path, old, new, names):
         cfg = ini(tmp_path, RUN_INI.replace(old, new), "bad.ini")
@@ -280,6 +287,12 @@ class TestBadSynthSettings:
         ("tokens_min = 2", "tokens_min = 0", "[synth] tokens_min"),
         ("tokens_max = 3", "tokens_max = 3\ntest_fraction = -1", "[synth] test_fraction"),
         ("tokens_max = 3", "tokens_max = 3\ntest_fraction = 2", "[synth] test_fraction"),
+        ("events_max = 2", "events_max = 4", "[synth] events_max"),
+        ("num_event_types = 3", "num_event_types = 1", "[synth] num_event_types"),
+        ("num_videos = 6\nl_c = 16", "num_videos = 6\nl_c = 2", "[synth] l_c"),
+        ("num_videos = 6", "num_videos = 0", "[synth] num_videos"),
+        ("event_lengths = 4,6", "event_lengths = 4,5", "[synth] event_lengths"),
+        ("ambiguity_rate = 0.25", "ambiguity_rate = 1.5", "[synth] ambiguity_rate"),
     ])
     def test_exit_2_names_the_setting(self, tmp_path, old, new, name):
         cfg = ini(tmp_path, RUN_INI.replace(old, new), "bad.ini")

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +31,7 @@ from momentloc import (
     temporal_consistency_from_predictions,
     train,
 )
+from momentloc import autodiff as ad
 from momentloc import network
 
 
@@ -317,3 +319,22 @@ class TestBatchedEval:
         # sentences of each video, then the pairs of each multi-sentence one,
         # at most as many per forward as the video has sentences
         assert sizes == [1, 2, 5, 1, 5, 5]
+
+    def test_one_query_key_fold_per_evaluate(self, ragged, monkeypatch):
+        # The only products of two matrices are the folds W_q^T W_k of
+        # prepare (every forward's rows carry a pair axis): one per unit,
+        # four of width d = 6 and the proposal attention's of width 3d,
+        # shared by all six forwards of the three videos.
+        records, ckpt = ragged
+        shapes = []
+        real = ad.matmul
+
+        def spy(a, b):
+            out = real(a, b)
+            if out.value.ndim == 2:
+                shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(ad, "matmul", spy)
+        evaluate(records, ckpt, (0.5,))
+        assert Counter(shapes) == {(6, 6): 4, (18, 18): 1}

@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import make_record, scalar_attention_oracle, tiny_params, token_seq
+import momentloc
 from momentloc import (
     DataError,
     GridConfig,
@@ -16,6 +21,7 @@ from momentloc import (
     localize_pairs,
     match,
     match_pairs,
+    prepare,
 )
 from momentloc import autodiff as ad
 from momentloc.losses import concat_queries
@@ -432,3 +438,94 @@ class TestGradients:
                 analytic = leaf.grad.reshape(-1)[k]
                 denom = max(abs(numeric), abs(analytic), 1e-4)
                 assert abs(numeric - analytic) / denom < 1e-3, name
+
+    @pytest.mark.parametrize("name", ["proposal_attn.w_q", "proposal_attn.w_k", "q2v.0.w_k"])
+    def test_query_key_fold_reaches_both_factors(self, name):
+        # qk = W_q^T W_k is one node per parameter set, shared by every pair
+        # of the forward; its backward must reach W_q and W_k. Larger query
+        # and key weights keep the attention away from uniform, and so its
+        # gradients well above the differences' rounding.
+        video, query, params = rig(d=8, seed=29)
+        for key in [k for k in params if k.endswith((".w_q", ".w_k"))]:
+            params[key] *= 8.0
+        rng = np.random.default_rng(30)
+        pairs = [(video, query), (video, token_seq(rng.normal(size=(5, 2))))]
+        weights = rng.normal(size=(len(pairs), len(GRID.grid_for(8))))
+
+        def objective(p):
+            return ad.sum_all(ad.mul(match_pairs(pairs, p, GRID).tensor, weights))
+
+        lifted = lift(params)
+        ad.backward(objective(prepare(lifted)))
+        flat, step = params[name].reshape(-1), 1e-5
+        for k in rng.choice(flat.size, size=8, replace=False):
+            old = flat[k]
+            flat[k] = old + step
+            up = float(objective(params))
+            flat[k] = old - step
+            down = float(objective(params))
+            flat[k] = old
+            numeric = (up - down) / (2 * step)
+            analytic = lifted[name].grad.reshape(-1)[k]
+            assert abs(numeric - analytic) <= 1e-5 * max(abs(numeric), abs(analytic), 1e-5), k
+
+
+class TestPrepare:
+    def test_idempotent(self):
+        prepared = prepare(rig(seed=31)[2])
+        assert prepare(prepared) is prepared
+
+    def test_products_of_parameters(self):
+        params = rig(seed=32)[2]
+        lifted = lift(params)
+        prepared = prepare(lifted)
+        assert all(prepared[name] is leaf for name, leaf in lifted.items())
+        for prefix in ("v2v.0", "q2q.0", "q2v.0", "v2q.0", "proposal_attn"):
+            want = params[f"{prefix}.w_q"].T @ params[f"{prefix}.w_k"]
+            assert np.array_equal(prepared[f"{prefix}.qk"].value, want), prefix
+        u = params["proposal_attn.fc_w"].T @ params["classifier.w"]
+        assert np.array_equal(prepared["classifier.u"].value, u)
+        assert np.array_equal(prepared["classifier.v"].value, params["proposal_attn.w_v"].T @ u)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_prepared_scores_equal_raw(self, dtype):
+        video, query, params = rig(seed=33)
+        other = token_seq(np.random.default_rng(34).normal(size=(4, 2)))
+        raw = {name: arr.astype(dtype) for name, arr in params.items()}
+        pairs = [(video, query), (video, other)]
+        want = match_pairs(pairs, raw, GRID).scores
+        assert np.array_equal(match_pairs(pairs, prepare(raw), GRID).scores, want)
+        cast = {name: arr.astype(np.float64) for name, arr in raw.items()}
+        assert np.array_equal(match_pairs(pairs, cast, GRID).scores, want)
+
+
+# A paper-width forward (d = 256, l_c = 128, the default grid): 4 videos of 3
+# sentences in one stacked forward, 804 scores; prints their sha256.
+_PAPER_SCORES = """
+import hashlib
+import numpy as np
+import momentloc as ml
+corpus = ml.generate_corpus(ml.SynthConfig(num_videos=4, l_c=128, events_min=3,
+                                           event_lengths=(8, 12, 20, 32), seed=7))
+rec = corpus.records[0]
+params = ml.init_params(256, rec.clips.matrix.shape[1], rec.paragraph[0].tokens.matrix.shape[1],
+                        1, 1, np.random.default_rng(0))
+pairs = [(r, s) for r in corpus.records for s in r.paragraph]
+scores = ml.match_pairs(pairs, params, ml.GridConfig()).scores
+assert scores.shape == (12, 67), scores.shape
+print(hashlib.sha256(scores.tobytes()).hexdigest())
+"""
+
+
+def test_forward_independent_of_blas_threads():
+    """The same forward in processes with 1 and 2 BLAS threads gives the
+    same bytes; the folded qk adds a transposed GEMM to every forward."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(momentloc.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _PAPER_SCORES], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
