@@ -1,16 +1,16 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A tape-based engine sized for this package: float64 values and exactly the
-operations the matching network and its losses need. Matrix ops work on the
-last two axes and accept one optional leading batch axis, so a whole
-training batch of (video, query) pairs runs as ``(pairs, rows, dim)``
-tensors through the same ops as a single pair's ``(rows, dim)`` matrices. A
-2-D right operand of ``matmul`` is a weight shared by the batch; its
-gradient is one GEMM over the batch's rows reshaped into one matrix. The
-gather op ``pick`` selects rows along the first axis (one index, or an
-index array with repeats) and scatters its gradient back with
-``np.add.at``, which is how a batch reuses one video's encoding in several
-pairs.
+A tape-based engine sized for this package: exactly the operations the
+matching network and its losses need, computed in their inputs' float32 or
+float64 dtype, gradients included. Matrix ops work on the last two axes and
+accept one optional leading batch axis, so a whole training batch of
+(video, query) pairs runs as ``(pairs, rows, dim)`` tensors through the
+same ops as a single pair's ``(rows, dim)`` matrices. A 2-D right operand
+of ``matmul`` is a weight shared by the batch; its gradient is one GEMM over
+the batch's rows reshaped into one matrix. The gather op ``pick`` selects
+rows along the first axis (one index, or an index array with repeats) and
+scatters its gradient back with ``np.add.at``, which is how a batch reuses
+one video's encoding in several pairs.
 
 The op contract. An op computes its forward value and returns
 ``Tensor(value, parents, backward)``. ``backward(g)`` takes the gradient of
@@ -20,7 +20,8 @@ order, each shaped like that parent. It writes nothing. Only ``add`` and
 ``_unbroadcast``. :func:`backward` is the one place that touches ``.grad``: a
 reverse topological sweep that keeps a gradient's first arrival at a node
 as it is (never writing to it), sums the second into a fresh array and adds
-later arrivals to that array in place.
+later arrivals to that array in place. Once an interior node has handed its
+gradient to its parents, the sweep drops it; only leaves keep ``.grad``.
 
 To add an op, wrap its inputs with ``as_tensor``, compute the value, and
 define its backward inside the op function: a node is named by the first
@@ -37,7 +38,7 @@ import numpy as np
 
 
 class Tensor:
-    """A node in the computation graph: a float64 array plus its gradient."""
+    """A node in the computation graph: a float32 or float64 array plus its gradient."""
 
     __slots__ = ("value", "grad", "parents", "_backward")
 
@@ -59,8 +60,10 @@ class Tensor:
 
 
 def constant(x) -> Tensor:
-    """Wrap a value as a graph leaf (no gradient tracked beyond it)."""
-    return Tensor(np.asarray(x, dtype=np.float64))
+    """Wrap a value as a graph leaf (no gradient tracked beyond it). A float32
+    or float64 array keeps its dtype; anything else is cast to float64."""
+    x = np.asarray(x)
+    return Tensor(x if x.dtype in (np.float32, np.float64) else x.astype(np.float64))
 
 
 # Parameters are leaves too; the distinction is only who reads .grad afterwards.
@@ -95,7 +98,7 @@ def mul(a, b) -> Tensor:
 
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
-    c = float(c)
+    c = a.value.dtype.type(c)
     return Tensor(a.value * c, (a,), lambda g: (g * c,))
 
 
@@ -224,7 +227,7 @@ def segment_max(a, segments) -> Tensor:
         """(..., len(ks), columns, w): the rows of segments ks, last axis."""
         return np.lib.stride_tricks.sliding_window_view(x, w, axis=-2)[..., starts[ks], :, :]
 
-    out_value = np.empty(x.shape[:-2] + (len(bounds), x.shape[-1]))
+    out_value = np.empty(x.shape[:-2] + (len(bounds), x.shape[-1]), dtype=x.dtype)
     for w, ks in groups:
         out_value[..., ks, :] = windows(w, ks).max(axis=-1)
 
@@ -237,7 +240,8 @@ def segment_max(a, segments) -> Tensor:
         n_rows, n_cols = x.shape[-2:]
         batch_rows = n_rows * np.arange(x.size // (n_rows * n_cols)).reshape(x.shape[:-2] + (1, 1))
         flat = ((batch_rows + argrows) * n_cols + np.arange(n_cols)).ravel()
-        return (np.bincount(flat, weights=g.ravel(), minlength=x.size).reshape(x.shape),)
+        grad = np.bincount(flat, weights=g.ravel(), minlength=x.size).reshape(x.shape)
+        return (grad.astype(x.dtype, copy=False),)
 
     return Tensor(out_value, (a,), backward)
 
@@ -312,19 +316,21 @@ def backward(root: Tensor):
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    root.grad = np.ones((), dtype=np.float64)
-    # A first arrival is stored as is: it may be a view of another node's
-    # gradient, so it is never written to. A second arrival makes a fresh
-    # sum that this sweep owns, and later ones add into it in place.
+    root.grad = np.ones((), dtype=root.value.dtype)
+    # Gradients take their node's dtype. A first arrival is stored as is: it
+    # may be a view of another node's gradient, so it is never written to. A
+    # second arrival makes a fresh sum that this sweep owns, and later ones
+    # add into it in place.
     owned: set[int] = set()
     for node in reversed(topo):
         if node._backward is None:
             continue
         for parent, g in zip(node.parents, node._backward(node.grad)):
             if parent.grad is None:
-                parent.grad = np.asarray(g, dtype=np.float64)
+                parent.grad = np.asarray(g, dtype=parent.value.dtype)
             elif id(parent) in owned:
                 parent.grad += g
             else:
-                parent.grad = np.asarray(parent.grad + g, dtype=np.float64)
+                parent.grad = np.asarray(parent.grad + g, dtype=parent.value.dtype)
                 owned.add(id(parent))
+        node.grad = None

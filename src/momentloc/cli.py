@@ -24,7 +24,7 @@ from dataclasses import asdict, fields
 
 from .config import default_run_config, load_run_config
 from .data import (DataConfig, atomic_write, filter_split, load_corpus, load_embeddings,
-                   read_annotations)
+                   open_text, read_annotations)
 from .errors import (
     CheckpointMismatchError,
     ConfigError,
@@ -130,7 +130,7 @@ def read_predictions(path) -> dict:
     """Parse a predictions TSV: video_id, position, start_s, end_s."""
     preds = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read predictions: {exc}") from None

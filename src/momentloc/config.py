@@ -18,7 +18,7 @@ import configparser
 import os
 from dataclasses import MISSING, dataclass, fields
 
-from .data import DataConfig
+from .data import DataConfig, open_text
 from .errors import ConfigError
 from .segments import GridConfig
 from .synthetic import SynthConfig
@@ -111,7 +111,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config file {path} does not exist")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path, ConfigError) as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None

@@ -261,9 +261,22 @@ def read_features(path) -> np.ndarray:
     return flat.reshape(rows, cols).copy()
 
 
+@contextlib.contextmanager
+def open_text(path, error=DataError):
+    """A UTF-8 text file opened for reading, with universal newlines. Bytes
+    that are not UTF-8, read anywhere inside the ``with`` block, raise
+    ``error`` (:class:`DataError`, or :class:`ConfigError` for a run
+    configuration) naming the file; an unreadable file raises OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_annotations(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read annotations {path}: {exc}") from exc
@@ -282,7 +295,7 @@ def load_embeddings(path) -> EmbeddingTable:
     """Read a 'word v1 v2 ... vDt' text table."""
     vectors = {}
     d_t = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for n, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

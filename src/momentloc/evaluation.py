@@ -45,9 +45,9 @@ class EvalReport:
 def _prepare(corpus, checkpoint: Checkpoint, split: str | None = None) -> tuple:
     """The records of ``split``, each checked against the others and the
     shape against the checkpoint, plus the checkpoint's parameters prepared
-    once (:func:`~momentloc.network.prepare`: cast to float64, with every
-    parameter-only product computed), so that no stacked forward repeats
-    that work."""
+    once (:func:`~momentloc.network.prepare`: its float32 tensors as they
+    are, with every parameter-only product computed), so that no stacked
+    forward repeats that work. The forwards therefore compute in float32."""
     records = filter_split(corpus, split)
     if not records:
         raise DataError(f"no records in split {split!r}" if split else "no records to evaluate")

@@ -13,7 +13,8 @@ Three components:
 All functions build on the autodiff tape and return 0-d tensors, so they
 compose into a differentiable batch objective; ``float()`` on any result
 gives the plain value. Probabilities are clamped to [1e-7, 1 - 1e-7]
-before any logarithm.
+before any logarithm; on a float32 tape the top of that range rounds to
+1 - 1.19e-7, the float32 number nearest to it.
 """
 
 from __future__ import annotations

@@ -104,11 +104,11 @@ def _query_key(w_q, w_k) -> Tensor:
 
 
 def prepare(params) -> _Prepared:
-    """Every tensor of ``params`` (arrays of any float dtype, or ``lift``
-    leaves) as a float64 tape tensor, plus the products of parameters alone:
-    ``{unit}.qk`` of every attention unit and ``classifier.u``, ``.v`` and
-    ``.bias`` of :func:`_score_t`. A prepared mapping is returned unchanged.
-    """
+    """Every tensor of ``params`` (float32 or float64 arrays, or ``lift``
+    leaves) as a tape tensor of its own dtype, plus the products of
+    parameters alone: ``{unit}.qk`` of every attention unit and
+    ``classifier.u``, ``.v`` and ``.bias`` of :func:`_score_t`. A prepared
+    mapping is returned unchanged."""
     if isinstance(params, _Prepared):
         return params
     p = _Prepared((name, ad.as_tensor(arr)) for name, arr in params.items())
@@ -222,7 +222,7 @@ def _encode_t(pairs, p, grid_config: GridConfig):
     distinct video and the query stage (projection, q2q) once per distinct
     query; word rows are zero-padded to the longest query and masked.
     Returns (proposal tensor P x L_s x D, word tensor P x L_w x D, word mask
-    P x L_w, proposal grid).
+    P x L_w, proposal grid). Clip and word rows take the parameters' dtype.
     """
     clip_seqs, video_of = _distinct([_clips_of(v) for v, _ in pairs])
     token_seqs, query_of = _distinct([_tokens_of(q) for _, q in pairs])
@@ -232,13 +232,15 @@ def _encode_t(pairs, p, grid_config: GridConfig):
     grid = grid_config.grid_for(l_c)
     valid = np.array([c.valid_count for c in clip_seqs])
     clip_mask = (np.arange(l_c) < valid[:, None])[:, None, :]
-    v = _affine(np.stack([c.matrix for c in clip_seqs]), p["video_proj.w"], p["video_proj.b"])
+    dtype = p["video_proj.w"].value.dtype
+    v = _affine(np.stack([c.matrix for c in clip_seqs], dtype=dtype),
+                p["video_proj.w"], p["video_proj.b"])
     for unit in _stack(p, "v2v"):
         v, _ = _attend(v, v, unit, clip_mask)
     props = ad.segment_max(v, np.stack((grid.starts, grid.ends), axis=1))
 
     lengths = np.array([t.matrix.shape[0] for t in token_seqs])
-    words = np.zeros((len(token_seqs), lengths.max(), token_seqs[0].matrix.shape[1]))
+    words = np.zeros((len(token_seqs), lengths.max(), token_seqs[0].matrix.shape[1]), dtype)
     for row, t in zip(words, token_seqs):
         row[: len(t.matrix)] = t.matrix
     word_mask = np.arange(words.shape[1]) < lengths[:, None]
@@ -269,7 +271,8 @@ def _fuse_rows_t(props: Tensor, sent: Tensor, p) -> Tensor:
     per leading index.
     """
     n_rows, d = props.shape[-2:]
-    q_mat = ad.add(ad.constant(np.zeros((n_rows, 1))), ad.reshape(sent, sent.shape[:-1] + (1, d)))
+    zeros = ad.constant(np.zeros((n_rows, 1), props.value.dtype))
+    q_mat = ad.add(zeros, ad.reshape(sent, sent.shape[:-1] + (1, d)))
     both = ad.concat_cols([props, q_mat])
     return ad.concat_cols([
         ad.add(props, q_mat),
@@ -329,9 +332,10 @@ def localize_pairs(pairs, params, grid_config: GridConfig) -> list:
     start, then the shorter length.
 
     Stacking pads word rows and changes GEMM shapes, so a pair's scores
-    may differ from a lone :func:`localize` of it in the last bit; the two
-    then pick different proposals only where the top scores lie that
-    close. Memory grows with the number of pairs stacked.
+    may differ from a lone :func:`localize` of it in the last bits (about
+    one machine epsilon of their dtype); the two then pick different
+    proposals only where the top scores lie that close. Memory grows with
+    the number of pairs stacked.
     """
     pairs = list(pairs)
     if not pairs:

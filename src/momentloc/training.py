@@ -126,7 +126,8 @@ def sample_batch(corpus, n: int, rng) -> list:
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a named array dict."""
+    """Adaptive-moment gradient descent over a named array dict, with each
+    gradient cast to float64 before it updates the moments."""
 
     def __init__(self, named: dict, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -143,15 +144,15 @@ class Adam:
         bc2 = 1.0 - self.beta2 ** self.t
         for name in sorted(named):
             g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(named[name])
+            g = np.zeros_like(named[name]) if g is None else np.asarray(g, dtype=np.float64)
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             named[name] -= self.lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
 
 
 def _clip_grads(grads: dict, max_norm: float):
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values() if g is not None))
+    total = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum())
+                          for g in grads.values() if g is not None))
     if total > max_norm > 0:
         scale = max_norm / total
         for name, g in grads.items():
@@ -205,7 +206,9 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
     token width, since a step scores the whole batch in one stacked
     forward. ``extra_config`` entries (for example the clip-building
     parameters of the data pipeline) are merged into the checkpoint's
-    config snapshot so evaluation can reload compatible data.
+    config snapshot so evaluation can reload compatible data. Weights and
+    Adam's moments are float64 and each step runs on float32 copies (master
+    weights, Micikevicius et al., arXiv:1710.03740).
     """
     records = list(corpus)
     if not records:
@@ -230,7 +233,7 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
         flags = []
         for b in range(batches_per_epoch):
             batch = sample_batch(records, config.batch_videos, rng)
-            lifted = lift(params)
+            lifted = lift({name: arr.astype(np.float32) for name, arr in params.items()})
             breakdown = total_loss(batch, lifted, loss_cfg)
             value = float(breakdown.total)
             if not np.isfinite(value):

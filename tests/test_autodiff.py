@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from momentloc import (SYNTH_GRID, LossConfig, SynthConfig, generate_corpus, init_params, lift,
-                       match, sample_batch, total_loss)
+                       match, match_pairs, sample_batch, total_loss)
 from momentloc import autodiff as ad
 
 
@@ -289,6 +289,14 @@ class TestBackward:
         ad.backward(ad.reshape(t, ()))
         assert np.isfinite(leaf.grad)
 
+    def test_interior_gradients_released(self):
+        leaf = ad.parameter(np.array([0.5, -1.0]))
+        hidden = ad.sigmoid(leaf)
+        root = ad.sum_all(ad.mul(hidden, hidden))
+        ad.backward(root)
+        assert root.grad is None and hidden.grad is None
+        assert leaf.grad.shape == (2,)
+
 
 def _arr(*shape):
     return ad.constant(RNG.normal(size=shape))
@@ -390,3 +398,46 @@ class TestOpContract:
             "reshape": 8, "neg_log": 7, "max_rows": 6, "sum_all": 5, "matvec": 5,
             "softmax_rows": 5, "concat_cols": 2, "sigmoid": 1, "segment_max": 1, "mul": 1,
         }
+
+
+def _spy_on_gradients(root) -> list:
+    """Wrap the backward of every op node under ``root`` to record the dtype
+    of the gradient each is handed and of every local gradient it returns."""
+    dtypes = []
+    for node in tape_nodes(root):
+        if node._backward is not None:
+            def spy(g, local=node._backward):
+                grads = tuple(local(g))
+                dtypes.extend([g.dtype] + [np.asarray(x).dtype for x in grads])
+                return grads
+            node._backward = spy
+    return dtypes
+
+
+class TestDtype:
+    """The tape computes in the parameters' dtype: a float32 forward and
+    backward hold no float64 value or gradient, and float64 stays float64."""
+
+    @staticmethod
+    def tape_inputs(dtype, num_videos, seed):
+        rng = np.random.default_rng(seed)
+        records = generate_corpus(SynthConfig(num_videos=num_videos, seed=seed)).records
+        params = init_params(16, 16, 16, 1, 1, rng)
+        return records, lift({name: arr.astype(dtype) for name, arr in params.items()}), rng
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_match_pairs_tape(self, dtype):
+        records, params, _ = self.tape_inputs(dtype, 4, 0)
+        pairs = [(rec, sent) for rec in records[:2] for sent in rec.paragraph]
+        root = match_pairs(pairs, params, SYNTH_GRID).tensor
+        assert {node.value.dtype for node in tape_nodes(root)} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_total_loss_tape_and_gradients(self, dtype):
+        records, params, rng = self.tape_inputs(dtype, 16, 1)
+        root = total_loss(sample_batch(records, 8, rng), params, LossConfig(grid=SYNTH_GRID)).total
+        assert {node.value.dtype for node in tape_nodes(root)} == {np.dtype(dtype)}
+        seen = _spy_on_gradients(root)
+        ad.backward(root)
+        assert seen and set(seen) == {np.dtype(dtype)}
+        assert {leaf.grad.dtype for leaf in params.values()} == {np.dtype(dtype)}

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -477,6 +478,41 @@ class TestAnalyzeCommand:
     def test_missing_predictions_file(self, pair_annotations, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "no.tsv"), pair_annotations]) == 2
         capsys.readouterr()
+
+
+def spoil(path):
+    """Put one byte that is not UTF-8 in the middle of a text file."""
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2:])
+
+
+def assert_exit_2_naming(proc, name):
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and name in proc.stderr and "not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any text input is exit 2 with an error
+    naming the file, never a traceback."""
+
+    @pytest.mark.parametrize("name", ["annotations.json", "embeddings.txt"])
+    def test_data_dir_file(self, workdir, tmp_path, name):
+        data = tmp_path / "data"
+        shutil.copytree(workdir["data"], data)
+        spoil(data / name)
+        assert_exit_2_naming(run_cli("eval", workdir["ckpt"], str(data)), name)
+
+    def test_config_file(self, tmp_path):
+        cfg = ini(tmp_path, RUN_INI, "run.ini")
+        spoil(cfg)
+        assert_exit_2_naming(run_cli("synth", str(tmp_path / "out"), "--config", cfg), "run.ini")
+
+    def test_predictions_file(self, pair_annotations, tmp_path):
+        preds = tmp_path / "preds.tsv"
+        write_predictions(preds, [("v0", 0, 0.0, 10.0), ("v0", 1, 10.0, 20.0)])
+        spoil(preds)
+        assert_exit_2_naming(run_cli("analyze", str(preds), pair_annotations), "preds.tsv")
 
 
 def oracle_checkpoint_config():

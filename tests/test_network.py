@@ -494,15 +494,20 @@ class TestPrepare:
         raw = {name: arr.astype(dtype) for name, arr in params.items()}
         pairs = [(video, query), (video, other)]
         want = match_pairs(pairs, raw, GRID).scores
+        assert want.dtype == dtype
         assert np.array_equal(match_pairs(pairs, prepare(raw), GRID).scores, want)
+        # The tape computes in the parameters' dtype: float32 scores are the
+        # float64 ones up to float32 rounding.
         cast = {name: arr.astype(np.float64) for name, arr in raw.items()}
-        assert np.array_equal(match_pairs(pairs, cast, GRID).scores, want)
+        assert np.allclose(match_pairs(pairs, cast, GRID).scores, want, rtol=0, atol=1e-6)
 
 
 # A paper-width forward (d = 256, l_c = 128, the default grid): 4 videos of 3
-# sentences in one stacked forward, 804 scores; prints their sha256.
+# sentences in one stacked forward, 804 scores, with the parameters cast to
+# the dtype named by the first argument; prints the scores' sha256.
 _PAPER_SCORES = """
 import hashlib
+import sys
 import numpy as np
 import momentloc as ml
 corpus = ml.generate_corpus(ml.SynthConfig(num_videos=4, l_c=128, events_min=3,
@@ -510,22 +515,26 @@ corpus = ml.generate_corpus(ml.SynthConfig(num_videos=4, l_c=128, events_min=3,
 rec = corpus.records[0]
 params = ml.init_params(256, rec.clips.matrix.shape[1], rec.paragraph[0].tokens.matrix.shape[1],
                         1, 1, np.random.default_rng(0))
+params = {name: arr.astype(sys.argv[1]) for name, arr in params.items()}
 pairs = [(r, s) for r in corpus.records for s in r.paragraph]
 scores = ml.match_pairs(pairs, params, ml.GridConfig()).scores
-assert scores.shape == (12, 67), scores.shape
+assert scores.shape == (12, 67) and scores.dtype == sys.argv[1], (scores.shape, scores.dtype)
 print(hashlib.sha256(scores.tobytes()).hexdigest())
 """
 
 
 def test_forward_independent_of_blas_threads():
     """The same forward in processes with 1 and 2 BLAS threads gives the
-    same bytes; the folded qk adds a transposed GEMM to every forward."""
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(Path(momentloc.__file__).parents[1]),
-                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", _PAPER_SCORES], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-    assert digests[0] == digests[1]
+    same bytes, in float64 (the gradient check's dtype) and in float32
+    (training's and eval's, whose GEMMs are other BLAS routines); the
+    folded qk adds a transposed GEMM to every forward."""
+    for dtype in ("float64", "float32"):
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(momentloc.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", _PAPER_SCORES, dtype], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1], dtype

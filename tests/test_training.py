@@ -138,6 +138,14 @@ class TestAdam:
         want = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert named["x"][0] == pytest.approx(want, abs=1e-15)
 
+    def test_float32_gradient_updates_float64_moments(self):
+        named = {"x": np.array([1.0, -2.0])}
+        opt = Adam(named, lr=0.1)
+        g = np.array([0.3, -0.7], dtype=np.float32)
+        opt.step(named, {"x": g})
+        assert {a.dtype for a in (named["x"], opt.m["x"], opt.v["x"])} == {np.dtype(np.float64)}
+        assert np.array_equal(opt.m["x"], (1.0 - 0.9) * g.astype(np.float64))
+
     def test_missing_gradient_means_no_move(self):
         named = {"x": np.array([2.0]), "y": np.array([3.0])}
         opt = Adam(named, lr=0.5)
@@ -313,6 +321,21 @@ class TestTrain:
         train(tiny_corpus(4), tiny_train_config(d=8, epochs=2))
         assert len(counts) == 4
         assert counts == [before] * 4
+
+    def test_float64_master_weights_and_moments(self, monkeypatch):
+        seen = []
+        real_step = training.Adam.step
+
+        def recording_step(self, named, grads):
+            real_step(self, named, grads)
+            seen.append(({g.dtype for g in grads.values()},
+                         {a.dtype for a in (*named.values(), *self.m.values(),
+                                            *self.v.values())}))
+
+        monkeypatch.setattr(training.Adam, "step", recording_step)
+        train(tiny_corpus(4), tiny_train_config(batch_videos=4, epochs=1))
+        # one step: float32 gradients from the tape, float64 weights and moments
+        assert seen == [({np.dtype(np.float32)}, {np.dtype(np.float64)})]
 
     def test_checkpoint_params_are_float32(self):
         recs = tiny_corpus(4)
