@@ -25,26 +25,11 @@ from dataclasses import asdict, fields
 from .config import default_run_config, load_run_config
 from .data import (DataConfig, atomic_write, filter_split, load_corpus, load_embeddings,
                    open_text, read_annotations)
-from .errors import (
-    CheckpointMismatchError,
-    ConfigError,
-    DataError,
-    PredictionsMismatchError,
-    TrainingDivergedError,
-)
+from .errors import ConfigError, DataError, MomentlocError, require
 from .evaluation import _fmt, analyze_predictions, evaluate, report_to_json, report_to_table
 from .segments import Segment
 from .synthetic import emit_corpus, generate_corpus
 from .training import load_checkpoint, save_checkpoint, train
-
-_EXIT_CODES = (
-    (ConfigError, 2),
-    (DataError, 2),
-    (OSError, 2),
-    (TrainingDivergedError, 3),
-    (CheckpointMismatchError, 4),
-    (PredictionsMismatchError, 5),
-)
 
 
 def _run_config(args):
@@ -105,18 +90,18 @@ def _parse_thresholds(raw: str) -> tuple:
         values = tuple(float(p) for p in raw.split(",") if p.strip())
     except ValueError:
         raise ConfigError(f"cannot parse thresholds {raw!r}") from None
-    if not values or any(not 0 <= v < 1 for v in values):
-        raise ConfigError(f"thresholds must lie in [0, 1): {raw!r}")
+    require(values and all(0 <= v < 1 for v in values), "--thresholds", "lie in [0, 1)", raw)
     return values
 
 
 def cmd_eval(args) -> int:
+    thresholds = _parse_thresholds(args.thresholds)
+    require(0 <= args.tau_eval < 1, "--tau-eval", "lie in [0, 1)", args.tau_eval)
     ckpt = load_checkpoint(args.checkpoint)
     data_config = DataConfig(**{f.name: ckpt.config.get(f.name, f.default)
                                 for f in fields(DataConfig)})
     records, _ = _load_data_dir(args.data_dir, data_config)
     split = None if args.split == "all" else args.split
-    thresholds = _parse_thresholds(args.thresholds)
     report = evaluate(records, ckpt, thresholds, split, args.tau_eval)
     print(report_to_table(report))
     out_path = args.out if args.out else args.checkpoint + ".eval.json"
@@ -152,6 +137,7 @@ def read_predictions(path) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    require(0 <= args.tau_eval < 1, "--tau-eval", "lie in [0, 1)", args.tau_eval)
     preds = read_predictions(args.predictions)
     doc = read_annotations(args.annotations)
     gt_map = {}
@@ -215,15 +201,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except tuple(exc for exc, _ in _EXIT_CODES) as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                if isinstance(exc, PredictionsMismatchError):
-                    for item in exc.unmatched:
-                        print(f"unmatched prediction {item}", file=sys.stderr)
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise AssertionError("unreachable")
+    except (MomentlocError, OSError) as exc:
+        for item in getattr(exc, "unmatched", ()):
+            print(f"unmatched prediction {item}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -57,9 +57,7 @@ def _convert(section: str, key: str, default, raw: str):
         return type(default)(raw.strip())
     except ValueError:
         kind = "intlist" if isinstance(default, tuple) else type(default).__name__
-        raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r} as {kind}", key=f"{section}.{key}"
-        ) from None
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
 
 
 def parse_loss_switches(spec: str) -> tuple:
@@ -67,9 +65,9 @@ def parse_loss_switches(spec: str) -> tuple:
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     unknown = [p for p in parts if p not in _LOSSES]
     if unknown:
-        raise ConfigError(f"unknown loss component {unknown[0]!r}", key="train.loss")
+        raise ConfigError(f"unknown loss component {unknown[0]!r}")
     if not parts:
-        raise ConfigError("loss selector must name at least one component", key="train.loss")
+        raise ConfigError("loss selector must name at least one component")
     return tuple(name in parts for name in _LOSSES)
 
 
@@ -118,10 +116,10 @@ def load_run_config(path) -> RunConfig:
     run = default_run_config()
     for section in parser.sections():
         if section not in SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]", key=section)
+            raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown config key [{section}] {key}", key=f"{section}.{key}")
+                raise ConfigError(f"unknown config key [{section}] {key}")
             run.values[section][key] = _convert(section, key, SCHEMA[section][key], raw)
     # fail fast on a bad loss selector even if training never runs
     parse_loss_switches(run.values["train"]["loss"])

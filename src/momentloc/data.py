@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError, require
 from .segments import Segment
 
 SPLITS = ("train", "val", "test")
@@ -55,9 +55,7 @@ class DataConfig:
 
     def __post_init__(self):
         for name in ("l_c", "pool_span", "max_sentence_len"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"[data] {name} must be >= 1, got {value}", key=f"data.{name}")
+            require(getattr(self, name) >= 1, f"[data] {name}", "be >= 1", getattr(self, name))
 
 
 @dataclass(frozen=True)

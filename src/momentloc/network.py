@@ -335,7 +335,8 @@ def localize_pairs(pairs, params, grid_config: GridConfig) -> list:
     may differ from a lone :func:`localize` of it in the last bits (about
     one machine epsilon of their dtype); the two then pick different
     proposals only where the top scores lie that close. Memory grows with
-    the number of pairs stacked.
+    the number of pairs stacked. A non-finite score (inputs that overflow
+    the dtype) raises DataError naming the video.
     """
     pairs = list(pairs)
     if not pairs:
@@ -347,6 +348,9 @@ def localize_pairs(pairs, params, grid_config: GridConfig) -> list:
     best = order[(ranked == ranked.max(axis=1, keepdims=True)).argmax(axis=1)]
     results = []
     for (video, _), idx, row in zip(pairs, best, ms.scores):
+        if not np.isfinite(row).all():
+            raise DataError(f"{getattr(video, 'id', 'a video')}: non-finite proposal scores "
+                            f"(features or word vectors too large for {row.dtype}?)")
         seg = grid.segments[idx]
         seconds = clips_to_seconds(seg, video.duration, _clips_of(video).l_c)
         results.append(LocalizeResult(seg, seconds, float(row[idx]), int(idx)))

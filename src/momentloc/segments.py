@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import require
 
 
 @dataclass(frozen=True, order=True)
@@ -149,23 +149,19 @@ class GridConfig:
     stride: int = 8
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ConfigError(f"[model] stride must be >= 1, got {self.stride}",
-                              key="model.stride")
-        if not self.window_sizes or min(self.window_sizes) < 1:
-            raise ConfigError("[model] window_sizes must be one or more sizes >= 1, got "
-                              f"{list(self.window_sizes)}", key="model.window_sizes")
+        require(self.stride >= 1, "[model] stride", "be >= 1", self.stride)
+        require(self.window_sizes and min(self.window_sizes) >= 1, "[model] window_sizes",
+                "be one or more sizes >= 1", list(self.window_sizes))
 
     def grid_for(self, l_c: int) -> ProposalGrid:
         """The proposal grid over ``l_c`` clips, built once per (l_c, sizes, stride)."""
         key = (l_c, tuple(self.window_sizes), self.stride)
         if key not in _GRID_CACHE:
-            _GRID_CACHE[key] = generate_proposals(l_c, self.window_sizes, self.stride)
-        grid = _GRID_CACHE[key]
-        if not len(grid):
-            raise ConfigError(f"[model] window_sizes {list(self.window_sizes)}: no window "
-                              f"fits l_c = {l_c} clips", key="model.window_sizes")
-        return grid
+            grid = generate_proposals(l_c, self.window_sizes, self.stride)
+            require(len(grid), "[model] window_sizes", f"hold a size that fits l_c = {l_c} clips",
+                    list(self.window_sizes))
+            _GRID_CACHE[key] = grid
+        return _GRID_CACHE[key]
 
 
 def clips_to_seconds(seg, duration: float, l_c: int) -> tuple[float, float]:

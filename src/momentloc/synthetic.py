@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import (ClipSequence, EmbeddingTable, Sentence, VideoRecord, atomic_write, save_corpus,
                    tokenize)
-from .errors import DataError
+from .errors import DataError, require
 from .segments import GridConfig, Segment, clips_to_seconds, iou
 
 # Grid used throughout the synthetic experiments: fine stride, window sizes
@@ -36,6 +36,10 @@ SYNTH_GRID = GridConfig(window_sizes=(4, 6, 8, 10, 16, 24, 32), stride=2)
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Settings of the synthetic corpus: the ``[synth]`` INI keys, with
+    ``tokens_per_sentence`` spelled ``tokens_min``/``tokens_max`` there. A
+    value out of range raises ConfigError naming its key (CLI exit 2)."""
+
     num_videos: int = 200
     l_c: int = 32
     d_v: int = 16
@@ -53,32 +57,25 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("events_max", "num_event_types"):
-            if getattr(self, name) < 2:
-                raise DataError(f"[synth] {name} must be >= 2, got {getattr(self, name)}")
-        if self.events_max > self.num_event_types:
-            raise DataError(f"[synth] events_max must be <= num_event_types = "
-                            f"{self.num_event_types} (event types are drawn without replacement "
-                            f"per video), got {self.events_max}")
-        if any(l % 2 or l < 2 for l in self.event_lengths):
-            raise DataError("[synth] event_lengths must be positive even clip counts, "
-                            f"got {list(self.event_lengths)}")
-        if not self.event_lengths:
-            raise DataError("[synth] event_lengths must list at least one length")
+        for name, least in (("events_max", 2), ("num_event_types", 2), ("num_videos", 1),
+                            ("d_v", 1), ("d_t", 1), ("tokens_per_type", 1), ("seed", 0)):
+            require(getattr(self, name) >= least, f"[synth] {name}", f"be >= {least}",
+                    getattr(self, name))
+        require(self.events_max <= self.num_event_types, "[synth] events_max",
+                f"be <= num_event_types = {self.num_event_types} (event types are drawn "
+                "without replacement per video)", self.events_max)
+        require(self.event_lengths and all(l >= 2 and l % 2 == 0 for l in self.event_lengths),
+                "[synth] event_lengths", "be one or more positive even clip counts",
+                list(self.event_lengths))
         spans = {"events": (self.events_min, self.events_max), "tokens": self.tokens_per_sentence}
         for kind, (lo, hi) in spans.items():
-            if not 1 <= lo <= hi:
-                raise DataError(f"[synth] {kind}_min must lie in [1, {kind}_max = {hi}], got {lo}")
-        if not 0 <= self.test_fraction <= 1:
-            raise DataError(f"[synth] test_fraction must lie in [0, 1], got {self.test_fraction}")
-        if not 0 <= self.ambiguity_rate <= 1:
-            raise DataError(f"[synth] ambiguity_rate must lie in [0, 1], got {self.ambiguity_rate}")
-        for name in ("num_videos", "d_v", "d_t", "tokens_per_type"):
-            if getattr(self, name) < 1:
-                raise DataError(f"[synth] {name} must be >= 1, got {getattr(self, name)}")
-        if self.ambiguity_rate > 0 and self.num_confusers < 1:
-            raise DataError("[synth] num_confusers must be >= 1 when ambiguity_rate > 0, "
-                            f"got {self.num_confusers}")
+            require(1 <= lo <= hi, f"[synth] {kind}_min", f"lie in [1, {kind}_max = {hi}]", lo)
+        for name in ("test_fraction", "ambiguity_rate"):
+            require(0 <= getattr(self, name) <= 1, f"[synth] {name}", "lie in [0, 1]",
+                    getattr(self, name))
+        require(self.noise_std >= 0, "[synth] noise_std", "be >= 0", self.noise_std)
+        require(self.num_confusers >= 1 or self.ambiguity_rate == 0, "[synth] num_confusers",
+                "be >= 1 when ambiguity_rate > 0", self.num_confusers)
 
 
 @dataclass

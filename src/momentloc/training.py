@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import atomic_write
-from .errors import ConfigError, DataError, TrainingDivergedError
+from .errors import DataError, TrainingDivergedError, require
 from .losses import BatchItem, LossConfig, NegativeSample, total_loss
 from .network import ModelParams, _param_table, init_params, lift, params_from_named
 from .segments import GridConfig
@@ -51,33 +51,26 @@ class TrainConfig:
     adam_eps: float = 1e-8
     tau: float = 0.5
     max_concat_len: int = 40
-    grad_clip: float = 0.0  # 0 disables clipping
     seed: int = 0
     use_bce: bool = True
     use_tmp: bool = True
     use_smt: bool = True
 
     def __post_init__(self):
-        for key, least in (("model.d", 1), ("model.depth_self", 0), ("model.depth_cross", 0),
-                           ("train.epochs", 1), ("train.max_concat_len", 1)):
-            section, name = key.split(".")
-            value = getattr(self, name)
-            if value < least:
-                raise ConfigError(f"[{section}] {name} must be >= {least}, got {value}", key=key)
-        if self.batch_videos < 2:
-            raise ConfigError("[train] batch_videos must be >= 2 (negative sampling)",
-                              key="train.batch_videos")
+        for key, least in (("[model] d", 1), ("[model] depth_self", 0),
+                           ("[model] depth_cross", 0), ("[train] epochs", 1),
+                           ("[train] max_concat_len", 1), ("[train] seed", 0)):
+            value = getattr(self, key.split()[1])
+            require(value >= least, key, f"be >= {least}", value)
+        require(self.batch_videos >= 2, "[train] batch_videos", "be >= 2 (negative sampling)",
+                self.batch_videos)
         for name in ("learning_rate", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"[train] {name} must be positive, got {getattr(self, name)}",
-                                  key=f"train.{name}")
-        if self.grad_clip < 0:
-            raise ConfigError(f"[train] grad_clip must be >= 0 (0 disables clipping), "
-                              f"got {self.grad_clip}", key="train.grad_clip")
+            value = getattr(self, name)
+            require(0 < value < math.inf, f"[train] {name}", "be finite and > 0", value)
         for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"[train] {name} must lie in [0, 1), got {getattr(self, name)}",
-                                  key=f"train.{name}")
+            value = getattr(self, name)
+            require(0 <= value < 1, f"[train] {name}", "lie in [0, 1)", value)
+        require(0 <= self.tau <= 1, "[train] tau", "lie in [0, 1]", self.tau)
 
     def loss_config(self) -> LossConfig:
         return LossConfig(self.grid, self.tau, self.use_bce, self.use_tmp,
@@ -150,16 +143,6 @@ class Adam:
             named[name] -= self.lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
 
 
-def _clip_grads(grads: dict, max_norm: float):
-    total = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum())
-                          for g in grads.values() if g is not None))
-    if total > max_norm > 0:
-        scale = max_norm / total
-        for name, g in grads.items():
-            if g is not None:
-                grads[name] = g * scale
-
-
 @dataclass
 class Checkpoint:
     """Trained parameters plus everything needed to reproduce and audit them."""
@@ -215,11 +198,10 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
         raise DataError("empty corpus")
     l_c, d_v, d_t = _one_shape(records)
     grid = config.grid.grid_for(l_c)  # a grid that no window fits fails here, before any forward
-    if (config.use_tmp or config.use_smt) and not grid.starts.any():
-        raise ConfigError(f"[model] window_sizes {list(config.grid.window_sizes)} and stride "
-                          f"{config.grid.stride}: every proposal starts at clip 0 of l_c = "
-                          f"{l_c}, so the tmp and smt losses have no temporally ordered "
-                          "proposal pair", key="model.window_sizes")
+    require(grid.starts.any() or not (config.use_tmp or config.use_smt), "[model] window_sizes",
+            f"give, with stride = {config.grid.stride}, a proposal that starts after clip 0 "
+            f"of l_c = {l_c} while the tmp or smt loss is on (those losses need a temporally "
+            "ordered proposal pair)", list(config.grid.window_sizes))
     rng = np.random.default_rng(config.seed)
     params = init_params(config.d, d_v, d_t, config.depth_self, config.depth_cross, rng)
     adam = Adam(params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
@@ -242,8 +224,6 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
             grads = {name: leaf.grad for name, leaf in lifted.items()}
             if not all(g is None or np.isfinite(g).all() for g in grads.values()):
                 raise TrainingDivergedError(epoch, b, [it.video.id for it in batch])
-            if config.grad_clip > 0:
-                _clip_grads(grads, config.grad_clip)
             adam.step(params, grads)
             sums += (value, breakdown.bce, breakdown.tmp, breakdown.smt)
             if breakdown.order_consistent_fraction is not None:
@@ -307,6 +287,12 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         manifest = json.loads(blob[9 : 9 + mlen].decode())
         config = manifest["config"]
+        # every size that the model or eval's data and grid read from the config
+        sizes = [config[k] for k in ("d", "d_v", "d_t", "depth_self", "depth_cross", "l_c",
+                                     "stride")] + list(config["window_sizes"])
+        sizes += [config.get(k, 1) for k in ("pool_span", "max_sentence_len", "max_concat_len")]
+        if not all(type(n) is int for n in sizes):
+            raise TypeError(f"sizes must be integers, got {sizes}")
         d, depth_self, depth_cross = config["d"], config["depth_self"], config["depth_cross"]
         table = dict(_param_table(d, config["d_v"], config["d_t"], depth_self, depth_cross))
         tensors = [(e["name"], tuple(int(n) for n in e["shape"])) for e in manifest["tensors"]]

@@ -158,13 +158,20 @@ def scalar_attention_oracle(target, reference, params, mask=None):
     return np.array(out), np.array(weights)
 
 
+def edit_manifest(raw: bytes, edit) -> bytes:
+    """Checkpoint bytes whose manifest dict ``edit`` has changed in place."""
+    (mlen,) = struct.unpack("<I", raw[5:9])
+    manifest = json.loads(raw[9 : 9 + mlen])
+    edit(manifest)
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + mlen :]
+
+
 def transpose_in_manifest(raw: bytes, name: str) -> bytes:
     """Checkpoint bytes whose manifest lists tensor ``name`` with its shape
     reversed; the byte count, and so the file length, stay the same."""
-    (mlen,) = struct.unpack("<I", raw[5:9])
-    manifest = json.loads(raw[9 : 9 + mlen])
-    for entry in manifest["tensors"]:
-        if entry["name"] == name:
-            entry["shape"] = entry["shape"][::-1]
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    return raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + mlen :]
+    def edit(manifest):
+        for entry in manifest["tensors"]:
+            if entry["name"] == name:
+                entry["shape"] = entry["shape"][::-1]
+    return edit_manifest(raw, edit)

@@ -221,6 +221,14 @@ class TestTrainCommand:
         assert len(result.records) == 7 and result.skip_count == 1
 
 
+def assert_one_error_naming(proc, names):
+    """Exit 2 with one ``error:`` line that holds every name, and no traceback."""
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and all(name in errors[0] for name in names), proc.stderr
+
+
 # Grids whose proposals all start at clip 0 of the l_c = 16 corpus: the
 # temporal and semantic losses then have no ordered proposal pair.
 ONE_START_GRIDS = [("window_sizes = 8,16", "window_sizes = 16"), ("stride = 8", "stride = 16")]
@@ -229,7 +237,9 @@ ONE_START_GRIDS = [("window_sizes = 8,16", "window_sizes = 16"), ("stride = 8", 
 class TestBadTrainSettings:
     """Settings that cannot train exit 2 before any forward: grids that
     admit no proposal, or only proposals with one start under the temporal
-    and semantic losses, and out-of-range model, train and data integers."""
+    and semantic losses, out-of-range or non-finite model, train and data
+    values, and an out-of-range ``--seed`` or ``--tau-eval`` (``eval`` and
+    ``analyze``)."""
 
     @pytest.mark.parametrize("old, new, names", [
         ("stride = 8", "stride = 0", ("[model] stride",)),
@@ -255,15 +265,39 @@ class TestBadTrainSettings:
         ("learning_rate = 0.001", "learning_rate = 0.001\nadam_eps = 0", ("[train] adam_eps",)),
         ("learning_rate = 0.001", "learning_rate = 0.001\nadam_eps = -1e-8", ("[train] adam_eps",)),
         ("learning_rate = 0.001", "learning_rate = 0.001\ngrad_clip = -1", ("[train] grad_clip",)),
+        ("seed = 0\n\n[synth]", "seed = -3\n\n[synth]", ("[train] seed",)),
+        ("learning_rate = 0.001", "learning_rate = inf", ("[train] learning_rate", "inf")),
+        ("learning_rate = 0.001", "learning_rate = nan", ("[train] learning_rate", "nan")),
+        ("learning_rate = 0.001", "learning_rate = 0.001\nadam_eps = inf", ("[train] adam_eps",)),
+        ("learning_rate = 0.001", "learning_rate = 0.001\nadam_eps = nan", ("[train] adam_eps",)),
+        ("learning_rate = 0.001", "learning_rate = 0.001\ntau = nan", ("[train] tau", "nan")),
+        ("learning_rate = 0.001", "learning_rate = 0.001\ntau = 1.5", ("[train] tau",)),
+        ("learning_rate = 0.001", "learning_rate = 0.001\ntau = -0.5", ("[train] tau",)),
     ])
     def test_exit_2_names_the_setting(self, workdir, tmp_path, old, new, names):
         cfg = ini(tmp_path, RUN_INI.replace(old, new), "bad.ini")
         proc = run_cli("train", workdir["data"], str(tmp_path / "x.ckpt"), "--config", cfg)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and all(name in errors[0] for name in names), proc.stderr
+        assert_one_error_naming(proc, names)
         assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--seed", "-1"),
+        ("eval", "--tau-eval", "nan"),
+        ("eval", "--tau-eval", "1"),
+        ("eval", "--tau-eval", "-0.1"),
+        ("analyze", "--tau-eval", "nan"),
+        ("analyze", "--tau-eval", "5"),
+    ])
+    def test_bad_flag_exits_2(self, workdir, tmp_path, command, flag, value):
+        out, preds = tmp_path / "out", tmp_path / "preds.tsv"
+        write_predictions(preds, [("synth0000", 0, 0.0, 4.0)])
+        inputs = {"train": [workdir["data"], str(out), "--config", workdir["cfg"]],
+                  "eval": [workdir["ckpt"], workdir["data"], "--out", str(out)],
+                  "analyze": [str(preds), os.path.join(workdir["data"], "annotations.json")]}
+        proc = run_cli(command, *inputs[command], flag, value)
+        flag_name = "[train] seed" if flag == "--seed" else flag
+        assert_one_error_naming(proc, (flag_name, value))
+        assert not out.exists()
 
     @pytest.mark.parametrize("old, new", ONE_START_GRIDS)
     def test_one_start_grid_trains_with_bce_alone(self, workdir, tmp_path, old, new):
@@ -273,8 +307,8 @@ class TestBadTrainSettings:
 
 
 class TestBadSynthSettings:
-    """[synth] sizes and ranges that cannot make a loadable corpus, or
-    would silently drop a split, exit 2 before writing."""
+    """[synth] sizes and ranges that cannot make a loadable corpus, would
+    silently drop a split, or are negative or NaN, exit 2 before writing."""
 
     @pytest.mark.parametrize("old, new, name", [
         ("tokens_max = 3", "tokens_max = 3\ntokens_per_type = 0", "[synth] tokens_per_type"),
@@ -294,14 +328,15 @@ class TestBadSynthSettings:
         ("num_videos = 6", "num_videos = 0", "[synth] num_videos"),
         ("event_lengths = 4,6", "event_lengths = 4,5", "[synth] event_lengths"),
         ("ambiguity_rate = 0.25", "ambiguity_rate = 1.5", "[synth] ambiguity_rate"),
+        ("tokens_max = 3\nseed = 0", "tokens_max = 3\nseed = -1", "[synth] seed"),
+        ("noise_std = 0.1", "noise_std = -1", "[synth] noise_std"),
+        ("noise_std = 0.1", "noise_std = nan", "[synth] noise_std"),
+        ("ambiguity_rate = 0.25", "ambiguity_rate = nan", "[synth] ambiguity_rate"),
     ])
     def test_exit_2_names_the_setting(self, tmp_path, old, new, name):
         cfg = ini(tmp_path, RUN_INI.replace(old, new), "bad.ini")
         proc = run_cli("synth", str(tmp_path / "data"), "--config", cfg)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and name in errors[0], proc.stderr
+        assert_one_error_naming(proc, (name,))
         assert not (tmp_path / "data" / "manifest.json").exists()
 
     def test_no_confusers_without_ambiguity(self, tmp_path):

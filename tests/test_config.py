@@ -43,7 +43,6 @@ beta2 = 0.95
 adam_eps = 1e-6
 tau = 0.4
 max_concat_len = 30
-grad_clip = 2.5
 seed = 11
 loss = tmp, bce
 
@@ -88,7 +87,7 @@ def readme_ini_block() -> str:
 class TestEveryKey:
     def test_ini_covers_the_schema(self):
         assert ini_keys(EVERY_KEY_INI) == {s: set(keys) for s, keys in SCHEMA.items()}
-        assert sum(len(keys) for keys in SCHEMA.values()) == 35
+        assert sum(len(keys) for keys in SCHEMA.values()) == 34
 
     def test_loads_into_the_dataclasses(self, tmp_path):
         run = load_run_config(ini(tmp_path, EVERY_KEY_INI))
@@ -99,7 +98,7 @@ class TestEveryKey:
         assert run.train_config() == TrainConfig(
             d=12, depth_self=2, depth_cross=3, grid=GridConfig((4, 6, 10), 3),
             batch_videos=5, epochs=7, learning_rate=0.003, beta1=0.8, beta2=0.95,
-            adam_eps=1e-6, tau=0.4, max_concat_len=30, grad_clip=2.5, seed=11,
+            adam_eps=1e-6, tau=0.4, max_concat_len=30, seed=11,
             use_bce=True, use_tmp=True, use_smt=False,
         )
         assert run.synth_config() == SynthConfig(

@@ -398,6 +398,12 @@ class TestLocalize:
         assert (got.segment.start, got.segment.end - got.segment.start) == min(starts_lengths)
         assert got.score == 0.5
 
+    def test_non_finite_scores_name_the_video(self):
+        video, query, params = rig(seed=19)
+        video.clips.matrix[:] = 1e300  # finite, but the forward overflows
+        with np.errstate(all="ignore"), pytest.raises(DataError, match="v0: non-finite"):
+            localize(video, query, params, GRID)
+
     def test_pairs_break_ties_like_localize(self):
         video, _, params = rig(seed=20)
         params["classifier.w"] = np.zeros(12)

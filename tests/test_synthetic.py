@@ -5,6 +5,7 @@ import pytest
 
 from helpers import make_record
 from momentloc import (
+    ConfigError,
     DataConfig,
     DataError,
     GridConfig,
@@ -35,21 +36,21 @@ class TestSynthConfig:
         assert (cfg.events_min, cfg.events_max) == (2, 3)
 
     def test_pairless_config_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             SynthConfig(events_max=1)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             SynthConfig(num_event_types=1)
 
     def test_more_events_than_types_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             SynthConfig(num_event_types=2, events_max=3)
 
     def test_odd_event_length_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             SynthConfig(event_lengths=(4, 5))
 
     def test_ambiguity_range_checked(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             SynthConfig(ambiguity_rate=1.5)
 
 

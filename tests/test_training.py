@@ -8,7 +8,7 @@ from scipy import stats
 
 import momentloc.training as training
 
-from helpers import make_record, transpose_in_manifest
+from helpers import edit_manifest, make_record, transpose_in_manifest
 from momentloc import (
     GT_AUDIT,
     Adam,
@@ -293,13 +293,13 @@ class TestTrain:
         assert grid_from_snapshot(ckpt.config) == TINY_GRID
 
     def test_config_snapshot_pinned(self):
-        cfg = tiny_train_config(grad_clip=1.0, use_smt=False)
+        cfg = tiny_train_config(use_smt=False)
         ckpt = train(tiny_corpus(4), cfg, {"pool_span": 3})
         assert ckpt.config == {
             "d": 8, "d_v": 8, "d_t": 8, "l_c": 16, "depth_self": 1, "depth_cross": 1,
             "window_sizes": [8, 16], "stride": 8, "batch_videos": 2, "epochs": 2,
             "learning_rate": 0.001, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-08,
-            "tau": 0.5, "max_concat_len": 40, "grad_clip": 1.0, "seed": 0,
+            "tau": 0.5, "max_concat_len": 40, "seed": 0,
             "use_bce": True, "use_tmp": True, "use_smt": False, "pool_span": 3,
         }
 
@@ -424,6 +424,24 @@ class TestCheckpointIO:
         save_checkpoint(train(tiny_corpus(4), tiny_train_config(d=4, epochs=1)), p)
         p.write_bytes(transpose_in_manifest(p.read_bytes(), "fusion.w"))
         with pytest.raises(DataError, match="'fusion.w' has shape \\[8, 4\\]"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("l_c", None), ("window_sizes", None), ("stride", None),
+        ("l_c", 16.0), ("window_sizes", [8.16]), ("pool_span", "5"), ("max_concat_len", 4.5),
+        ("depth_self", True),
+    ])
+    def test_unreadable_eval_setting_rejected(self, tmp_path, key, value):
+        # None drops the key; the other values are sizes that are not ints
+        def edit(manifest):
+            manifest["config"].pop(key, None)
+            if value is not None:
+                manifest["config"][key] = value
+
+        p = tmp_path / "model.crmc"
+        save_checkpoint(self.make(), p)
+        p.write_bytes(edit_manifest(p.read_bytes(), edit))
+        with pytest.raises(DataError, match="malformed checkpoint manifest"):
             load_checkpoint(p)
 
     def test_missing_tensor_named(self):
