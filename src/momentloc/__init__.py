@@ -81,7 +81,6 @@ from .network import (
     match,
     match_pairs,
     params_from_named,
-    prepare,
 )
 from .segments import (
     GridConfig,

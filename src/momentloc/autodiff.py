@@ -18,10 +18,10 @@ the op's output and returns its local gradients: one per parent, in parent
 order, each shaped like that parent. It writes nothing. Only ``add`` and
 ``mul`` broadcast, so only they sum their gradients back down with
 ``_unbroadcast``. :func:`backward` is the one place that touches ``.grad``: a
-reverse topological sweep that keeps a gradient's first arrival at a node
-as it is (never writing to it), sums the second into a fresh array and adds
-later arrivals to that array in place. Once an interior node has handed its
-gradient to its parents, the sweep drops it; only leaves keep ``.grad``.
+reverse topological sweep that holds each node's gradient in a dict of its
+own until the node hands it to its parents. A first arrival at a node is
+kept as it is, and each later one makes a fresh sum, so the sweep writes
+into no array. Only leaves get ``.grad``.
 
 To add an op, wrap its inputs with ``as_tensor``, compute the value, and
 define its backward inside the op function: a node is named by the first
@@ -38,7 +38,8 @@ import numpy as np
 
 
 class Tensor:
-    """A node in the computation graph: a float32 or float64 array plus its gradient."""
+    """A node in the computation graph: a float32 or float64 array, plus its
+    gradient on a leaf after :func:`backward`."""
 
     __slots__ = ("value", "grad", "parents", "_backward")
 
@@ -64,10 +65,6 @@ def constant(x) -> Tensor:
     or float64 array keeps its dtype; anything else is cast to float64."""
     x = np.asarray(x)
     return Tensor(x if x.dtype in (np.float32, np.float64) else x.astype(np.float64))
-
-
-# Parameters are leaves too; the distinction is only who reads .grad afterwards.
-parameter = constant
 
 
 def as_tensor(x) -> Tensor:
@@ -298,7 +295,11 @@ def sum_all(a) -> Tensor:
 
 
 def backward(root: Tensor):
-    """Reverse-mode sweep seeding d(root)/d(root) = 1. Root must be 0-d."""
+    """Reverse-mode sweep seeding d(root)/d(root) = 1. Root must be 0-d.
+
+    Each leaf under ``root`` adds its gradient to ``.grad`` (None before its
+    first sweep); interior gradients live only during the sweep.
+    """
     if root.value.shape != ():
         raise ValueError("backward expects a scalar root")
     topo: list[Tensor] = []
@@ -316,21 +317,15 @@ def backward(root: Tensor):
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    root.grad = np.ones((), dtype=root.value.dtype)
-    # Gradients take their node's dtype. A first arrival is stored as is: it
-    # may be a view of another node's gradient, so it is never written to. A
-    # second arrival makes a fresh sum that this sweep owns, and later ones
-    # add into it in place.
-    owned: set[int] = set()
+    # Gradients take their node's dtype. An arrival may be a view of another
+    # node's gradient, so none is written to.
+    grads = {id(root): np.ones((), dtype=root.value.dtype)}
     for node in reversed(topo):
+        g = grads.pop(id(node))
         if node._backward is None:
+            node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, g in zip(node.parents, node._backward(node.grad)):
-            if parent.grad is None:
-                parent.grad = np.asarray(g, dtype=parent.value.dtype)
-            elif id(parent) in owned:
-                parent.grad += g
-            else:
-                parent.grad = np.asarray(parent.grad + g, dtype=parent.value.dtype)
-                owned.add(id(parent))
-        node.grad = None
+        for parent, pg in zip(node.parents, node._backward(g)):
+            if id(parent) in grads:
+                pg = grads[id(parent)] + pg
+            grads[id(parent)] = np.asarray(pg, dtype=parent.value.dtype)

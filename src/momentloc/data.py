@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import string
 import struct
@@ -138,8 +139,8 @@ class VideoRecord:
     __slots__ = ("id", "duration", "clips", "paragraph", "split")
 
     def __init__(self, id: str, duration: float, clips: ClipSequence, paragraph, split="train"):
-        if duration <= 0:
-            raise DataError(f"duration must be positive, got {duration}")
+        if not 0 < duration < math.inf:
+            raise DataError(f"{id}: duration must be finite and > 0, got {duration}")
         if split not in SPLITS:
             raise DataError(f"unknown split {split!r}")
         paragraph = tuple(paragraph)
@@ -303,6 +304,8 @@ def load_embeddings(path) -> EmbeddingTable:
                 vec = [float(v) for v in values]
             except ValueError as exc:
                 raise DataError(f"{path}:{n}: non-numeric embedding value") from exc
+            if not vec:
+                raise DataError(f"{path}:{n}: no embedding values after {word!r}")
             if d_t is None:
                 d_t = len(vec)
             elif len(vec) != d_t:
@@ -382,12 +385,7 @@ def _load_record(vid, entry, feature_dir, table, config) -> VideoRecord:
         duration = float(entry["duration"])
     except (KeyError, TypeError, ValueError):
         raise DataError(f"{vid}: missing or non-numeric duration") from None
-    if duration <= 0:
-        raise DataError(f"{vid}: duration must be positive")
     _validate_entry(vid, entry, duration)
-    split = entry.get("split", "train")
-    if split not in SPLITS:
-        raise DataError(f"{vid}: unknown split {split!r}")
     feature_path = f"{feature_dir}/{vid}.crmf"
     try:
         matrix = read_features(feature_path)
@@ -399,7 +397,7 @@ def _load_record(vid, entry, feature_dir, table, config) -> VideoRecord:
         tokens = tokenize(str(text), table, config.max_sentence_len)
         gt = Segment(float(ts[0]), float(ts[1]))
         sentences.append(Sentence(tokens, pos, gt))
-    return VideoRecord(vid, duration, clips, sentences, split)
+    return VideoRecord(vid, duration, clips, sentences, entry.get("split", "train"))
 
 
 def save_corpus(records, table: EmbeddingTable, out_dir):

@@ -25,7 +25,7 @@ import numpy as np
 from .data import filter_split
 from .errors import CheckpointMismatchError, DataError, PredictionsMismatchError
 from .losses import concat_queries
-from .network import localize_pairs, prepare
+from .network import lift, localize_pairs
 from .segments import hull, iou, order_relation
 from .training import Checkpoint, TrainConfig, _one_shape, grid_from_snapshot
 
@@ -44,17 +44,17 @@ class EvalReport:
 
 def _prepare(corpus, checkpoint: Checkpoint, split: str | None = None) -> tuple:
     """The records of ``split``, each checked against the others and the
-    shape against the checkpoint, plus the checkpoint's parameters prepared
-    once (:func:`~momentloc.network.prepare`: its float32 tensors as they
-    are, with every parameter-only product computed), so that no stacked
-    forward repeats that work. The forwards therefore compute in float32."""
+    shape against the checkpoint, plus the checkpoint's parameters lifted
+    once (:func:`~momentloc.network.lift`: its float32 tensors as they are,
+    with every parameter-only product computed), so that no stacked forward
+    repeats that work. The forwards therefore compute in float32."""
     records = filter_split(corpus, split)
     if not records:
         raise DataError(f"no records in split {split!r}" if split else "no records to evaluate")
     for name, actual in zip(("l_c", "d_v", "d_t"), _one_shape(records)):
         if checkpoint.config[name] != actual:
             raise CheckpointMismatchError(name, checkpoint.config[name], actual)
-    return records, prepare(checkpoint.params)
+    return records, lift(checkpoint.params)
 
 
 def _localized(records, checkpoint: Checkpoint, params, queries_of):

@@ -8,9 +8,10 @@ self-attention unit over the fused rows, and scored by a sigmoid linear
 classifier. The forward pass is built on the autodiff tape so the same code
 serves evaluation and training.
 
-The products of parameters alone (each attention unit's W_q^T W_k and the
-classifier fold) go on the tape once per parameter set, in :func:`prepare`.
-``params`` may be arrays, ``lift`` leaves or a prepared mapping of either.
+``params`` may be arrays or a lifted mapping (:func:`lift`): the tape form
+of the parameters, which holds the products of parameters alone (each
+attention unit's W_q^T W_k and the classifier fold), so that they go on the
+tape once per parameter set.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ def _param_table(d, d_v, d_t, depth_self, depth_cross) -> list:
 
 
 class ModelParams(dict):
-    """Parameter name -> array (or autodiff leaf, after ``lift``).
+    """Parameter name -> array, or tape tensor after :func:`lift`.
 
-    Keys are the checkpoint tensor names, in init draw order.
+    Keys are the checkpoint tensor names, in init draw order; a lifted
+    mapping adds the products of parameters alone after them.
     """
 
     def named_arrays(self) -> dict:
@@ -60,7 +62,8 @@ class ModelParams(dict):
 
     @property
     def leaves(self) -> dict:
-        return self
+        """The parameter tensors alone, without the products :func:`lift` adds."""
+        return {name: t for name, t in self.items() if not (isinstance(t, Tensor) and t.parents)}
 
 
 def init_params(d: int, d_v: int, d_t: int, depth_self: int, depth_cross: int, rng) -> ModelParams:
@@ -89,29 +92,21 @@ def params_from_named(named: dict, d: int, depth_self: int, depth_cross: int) ->
         raise DataError(f"parameter tensor {exc.args[0]!r} missing") from None
 
 
-def lift(params) -> ModelParams:
-    """Gradient leaves for one backward pass, under the same names."""
-    return ModelParams({name: ad.parameter(arr) for name, arr in params.items()})
-
-
-class _Prepared(dict):
-    """Parameter name -> tensor, plus the products of parameters alone."""
-
-
 def _query_key(w_q, w_k) -> Tensor:
     """An attention unit's folded query-key matrix qk = W_q^T W_k."""
     return ad.matmul(ad.transpose(w_q), w_k)
 
 
-def prepare(params) -> _Prepared:
-    """Every tensor of ``params`` (float32 or float64 arrays, or ``lift``
-    leaves) as a tape tensor of its own dtype, plus the products of
+def lift(params) -> ModelParams:
+    """The tape form of ``params`` (float32 or float64 arrays): every tensor
+    as a leaf of its own dtype under its own name, plus the products of
     parameters alone: ``{unit}.qk`` of every attention unit and
-    ``classifier.u``, ``.v`` and ``.bias`` of :func:`_score_t`. A prepared
+    ``classifier.u``, ``.v`` and ``.bias`` of :func:`_score_t`. A backward
+    pass leaves the gradients on :attr:`ModelParams.leaves`. A lifted
     mapping is returned unchanged."""
-    if isinstance(params, _Prepared):
+    if "classifier.u" in params:  # a product: only lift adds one
         return params
-    p = _Prepared((name, ad.as_tensor(arr)) for name, arr in params.items())
+    p = ModelParams((name, ad.constant(arr)) for name, arr in params.items())
     for prefix in [name[: -len(".w_q")] for name in p if name.endswith(".w_q")]:
         p[f"{prefix}.qk"] = _query_key(p[f"{prefix}.w_q"], p[f"{prefix}.w_k"])
     c = p["classifier.w"]
@@ -160,7 +155,7 @@ class LocalizeResult:
 def _weights(target, reference, unit, mask=None) -> Tensor:
     """Attention weights A on the tape: the row softmax of (target . qk) .
     reference^T scaled by 1/sqrt(dim), where qk = W_q^T W_k is the unit's
-    folded query-key matrix (:func:`prepare`); masked reference columns get
+    folded query-key matrix (:func:`lift`); masked reference columns get
     exactly zero weight."""
     logits = ad.matmul(ad.matmul(target, unit["qk"]), ad.transpose(reference))
     return ad.softmax_rows(ad.scale(logits, 1.0 / np.sqrt(unit["qk"].shape[0])), mask)
@@ -260,7 +255,7 @@ def _encode_t(pairs, p, grid_config: GridConfig):
 
 def encode(video, query, params, grid_config: GridConfig):
     """Run the encoder; returns (proposal_feats L_s x D, word_feats L_w x D)."""
-    props, q, _, _ = _encode_t([(video, query)], prepare(params), grid_config)
+    props, q, _, _ = _encode_t([(video, query)], lift(params), grid_config)
     return props.value[0], q.value[0]
 
 
@@ -292,8 +287,8 @@ def _score_t(fused: Tensor, p) -> Tensor:
         F u + A (F v) + (fc_b . c + b),  where u = fc_w^T c and v = W_v^T u.
 
     The W_v and fc products of the rows become matrix-vector products, and
-    only A is computed as in any attention unit. ``p`` is prepared
-    (:func:`prepare`), so u, v and the bias come computed.
+    only A is computed as in any attention unit. ``p`` is lifted
+    (:func:`lift`), so u, v and the bias come computed.
     """
     weights = _weights(fused, fused, _unit(p, "proposal_attn"))
     fv = ad.matvec(fused, p["classifier.v"])
@@ -306,11 +301,11 @@ def match_pairs(pairs, params, grid_config: GridConfig) -> MatchScores:
     """Proposal-query matching scores for many (video, query) pairs in one
     stacked forward; ``scores`` and ``tensor`` are (pairs, L_s).
 
-    Every video must have the same ``l_c``. ``params`` holds arrays, the
-    leaves of ``lift`` for a backward pass, or either of those prepared by
-    :func:`prepare`, which this forward then does not repeat.
+    Every video must have the same ``l_c``. ``params`` holds arrays, or is
+    lifted (:func:`lift`) for a backward pass or for many forwards, which
+    then share its products of parameters alone.
     """
-    params = prepare(params)
+    params = lift(params)
     props, q, word_mask, grid = _encode_t(list(pairs), params, grid_config)
     sent = ad.max_rows(q, word_mask[:, :, None])
     scores = _score_t(_fuse_rows_t(props, sent, params), params)

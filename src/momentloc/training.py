@@ -183,7 +183,9 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
     """Run the full optimisation loop over the given records.
 
     Each epoch draws ceil(len(corpus) / batch_videos) independent batches;
-    every batch does one forward/backward/Adam step. A non-finite loss or
+    every batch does one forward/backward/Adam step. A batch with no loss
+    term (BCE off and only single-sentence videos drawn) takes no Adam step
+    and counts 0 in its epoch's means. A non-finite loss or
     gradient aborts, before Adam touches the parameters, with the offending
     batch named. Every record must share one ``l_c``, feature width and
     token width, since a step scores the whole batch in one stacked
@@ -221,10 +223,11 @@ def train(corpus, config: TrainConfig, extra_config: dict | None = None) -> Chec
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch, b, [it.video.id for it in batch])
             ad.backward(breakdown.total)
-            grads = {name: leaf.grad for name, leaf in lifted.items()}
+            grads = {name: leaf.grad for name, leaf in lifted.leaves.items()}
             if not all(g is None or np.isfinite(g).all() for g in grads.values()):
                 raise TrainingDivergedError(epoch, b, [it.video.id for it in batch])
-            adam.step(params, grads)
+            if any(g is not None for g in grads.values()):
+                adam.step(params, grads)
             sums += (value, breakdown.bce, breakdown.tmp, breakdown.smt)
             if breakdown.order_consistent_fraction is not None:
                 flags.append(breakdown.order_consistent_fraction)
@@ -358,7 +361,7 @@ def gradient_check(batch, params: ModelParams, loss_cfg: LossConfig, *, step=1e-
     lifted = lift(params)
     breakdown = total_loss(batch, lifted, loss_cfg)
     ad.backward(breakdown.total)
-    analytic = {name: leaf.grad for name, leaf in lifted.items()}
+    analytic = {name: leaf.grad for name, leaf in lifted.leaves.items()}
 
     names = sorted(params)
     sizes = [params[n].size for n in names]

@@ -32,7 +32,7 @@ def fd_grad(fn, x: np.ndarray, step=1e-6) -> np.ndarray:
 def check_op(build, x0, tol=1e-6, step=1e-6):
     """build(param_tensor) -> 0-d output tensor; compares grads with FD."""
     x0 = np.asarray(x0, dtype=np.float64)
-    leaf = ad.parameter(x0.copy())
+    leaf = ad.constant(x0.copy())
     out = build(leaf)
     assert out.value.shape == ()
     ad.backward(out)
@@ -99,7 +99,7 @@ class TestElementwise:
 
     def test_clamp_interior_and_beyond(self):
         for complement in (False, True):
-            leaf = ad.parameter(np.array([-1.0, 0.5, 2.0]))
+            leaf = ad.constant(np.array([-1.0, 0.5, 2.0]))
             ad.backward(total(ad.neg_log(leaf, 1e-7, complement)))
             assert leaf.grad[0] == 0.0 and leaf.grad[2] == 0.0  # clipped coords get no grad
             assert leaf.grad[1] != 0.0
@@ -164,7 +164,7 @@ class TestReductions:
 
     def test_segment_max_tie_goes_to_first(self):
         x = np.array([[1.0], [1.0], [0.0]])
-        leaf = ad.parameter(x)
+        leaf = ad.constant(x)
         out = total(ad.segment_max(leaf, [(0, 3)]))
         ad.backward(out)
         assert leaf.grad[0, 0] != 0.0 and leaf.grad[1, 0] == 0.0
@@ -252,7 +252,7 @@ class TestStacked:
         index = np.array([2, 0, 2, 2])
         assert np.array_equal(ad.pick(ad.constant(x), index).value, x[index])
         check_op(lambda t: total(ad.pick(t, index)), x)
-        leaf = ad.parameter(x)
+        leaf = ad.constant(x)
         ad.backward(ad.sum_all(ad.pick(leaf, index)))
         assert np.array_equal(leaf.grad[:, 0, 0], [1.0, 0.0, 3.0])
 
@@ -272,17 +272,17 @@ class TestStacked:
 class TestBackward:
     def test_requires_scalar_root(self):
         with pytest.raises(ValueError):
-            ad.backward(ad.parameter(np.zeros(3)))
+            ad.backward(ad.constant(np.zeros(3)))
 
     def test_diamond_graph_accumulates(self):
         # y = (x + x) * x -> dy/dx = 4x
-        leaf = ad.parameter(np.array(3.0))
+        leaf = ad.constant(np.array(3.0))
         y = ad.mul(ad.add(leaf, leaf), leaf)
         ad.backward(ad.reshape(y, ()))
         assert leaf.grad == pytest.approx(12.0)
 
     def test_deep_chain(self):
-        leaf = ad.parameter(np.array(0.3))
+        leaf = ad.constant(np.array(0.3))
         t = leaf
         for _ in range(200):
             t = ad.sigmoid(t)
@@ -290,7 +290,7 @@ class TestBackward:
         assert np.isfinite(leaf.grad)
 
     def test_interior_gradients_released(self):
-        leaf = ad.parameter(np.array([0.5, -1.0]))
+        leaf = ad.constant(np.array([0.5, -1.0]))
         hidden = ad.sigmoid(leaf)
         root = ad.sum_all(ad.mul(hidden, hidden))
         ad.backward(root)
@@ -359,7 +359,7 @@ class TestOpContract:
                   if inspect.isfunction(fn) and fn.__module__ == ad.__name__
                   and not name.startswith("_")}
         ops = {name.split("/")[0] for name in OP_CASES}
-        assert ops == public - {"constant", "parameter", "as_tensor", "backward"}
+        assert ops == public - {"constant", "as_tensor", "backward"}
 
     @pytest.mark.parametrize("name", sorted(OP_CASES))
     def test_backward_returns_one_gradient_per_parent(self, name):
@@ -440,4 +440,4 @@ class TestDtype:
         seen = _spy_on_gradients(root)
         ad.backward(root)
         assert seen and set(seen) == {np.dtype(dtype)}
-        assert {leaf.grad.dtype for leaf in params.values()} == {np.dtype(dtype)}
+        assert {leaf.grad.dtype for leaf in params.leaves.values()} == {np.dtype(dtype)}

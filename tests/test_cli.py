@@ -204,6 +204,14 @@ class TestTrainCommand:
         assert code == 3
         assert "non-finite loss or gradient at epoch" in capsys.readouterr().err
 
+    def test_embeddings_without_values_exit_2(self, workdir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(workdir["data"], data)
+        emb = data / "embeddings.txt"
+        emb.write_text("".join(line.split()[0] + "\n" for line in emb.read_text().splitlines()))
+        proc = run_cli("train", str(data), str(tmp_path / "m.ckpt"), "--config", workdir["cfg"])
+        assert_one_error_naming(proc, ["embeddings.txt:1", "no embedding values"])
+
     def test_mixed_feature_widths_train(self, tmp_path):
         cfg = ini(tmp_path, RUN_INI.replace("num_videos = 6", "num_videos = 8"))
         data = tmp_path / "data"

@@ -207,6 +207,10 @@ class TestWireFormats:
         p.write_text("alpha 1.0 2.0\nbeta 3.0\n")
         with pytest.raises(DataError):
             load_embeddings(p)
+        p.write_text("alpha\nbeta\n")  # words with no values: d_t would be 0
+        with pytest.raises(DataError) as exc:
+            load_embeddings(p)
+        assert str(exc.value).startswith(f"{p}:1: no embedding values")
 
 
 def write_fixture_corpus(tmp_path, entries, feature_rows):
@@ -297,6 +301,16 @@ class TestLoadCorpus:
         result = load_corpus(ann, feat, self.table(), self.CFG)
         assert result.records == () or len(result.records) == 0
         assert result.skip_count == 1
+
+    def test_infinite_duration_skipped(self, tmp_path):
+        entries = {vid: {"duration": 5.0, "timestamps": [[0, 2]], "sentences": ["man runs"]}
+                   for vid in ("good", "huge")}
+        entries["huge"]["duration"] = "HUGE"
+        ann, feat = write_fixture_corpus(tmp_path, entries, {"good": 8, "huge": 8})
+        ann.write_text(ann.read_text().replace('"HUGE"', "1e400"))  # parses as inf
+        result = load_corpus(ann, feat, self.table(), self.CFG)
+        assert [r.id for r in result.records] == ["good"]
+        assert result.skipped == (("huge", "huge: duration must be finite and > 0, got inf"),)
 
     def test_valid_count_follows_frame_counts(self, tmp_path):
         entries = {

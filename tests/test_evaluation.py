@@ -297,6 +297,14 @@ class TestBatchedEval:
                 for rec in records for sent in rec.paragraph]
         assert [row["predicted"] for row in rows] == want
 
+    def test_predict_sentences_equals_report(self, ragged):
+        records, ckpt = ragged
+        preds = predict_sentences(records, ckpt)
+        rows = evaluate(records, ckpt, (0.5,)).per_query
+        assert {(r["video_id"], r["position"]): list(r["predicted"]) for r in rows} == \
+            {key: list(seconds) for key, seconds in preds.items()}
+        assert len(preds) == len(rows)
+
     def test_semantic_equals_per_pair_loop(self, ragged):
         records, ckpt = ragged
         flags = [iou(localize(rec, concat_queries(a, b, 6), ckpt.params, TINY_GRID).seconds,
@@ -322,7 +330,7 @@ class TestBatchedEval:
 
     def test_one_query_key_fold_per_evaluate(self, ragged, monkeypatch):
         # The only products of two matrices are the folds W_q^T W_k of
-        # prepare (every forward's rows carry a pair axis): one per unit,
+        # lift (every forward's rows carry a pair axis): one per unit,
         # four of width d = 6 and the proposal attention's of width 3d,
         # shared by all six forwards of the three videos.
         records, ckpt = ragged

@@ -25,7 +25,7 @@ from momentloc import (
     video_score,
 )
 from momentloc import autodiff as ad
-from momentloc.losses import _best_consistent_pair
+from momentloc.losses import _best_consistent_pair, _contrast_sum
 from momentloc.network import MatchScores
 
 GRID = GridConfig((2, 4), 2)
@@ -62,10 +62,10 @@ class TestVideoScore:
         assert list(stacked.value) == [float(video_score(row)) for row in scores]
 
     def test_tie_gradient_goes_to_first_argmax(self):
-        leaf = ad.parameter(np.array([[0.2, 0.9, 0.9], [0.5, 0.5, 0.1]]))
+        leaf = ad.constant(np.array([[0.2, 0.9, 0.9], [0.5, 0.5, 0.1]]))
         ad.backward(ad.sum_all(video_score(leaf)))
         assert np.array_equal(leaf.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        row = ad.parameter(np.array([0.3, 0.7, 0.7]))
+        row = ad.constant(np.array([0.3, 0.7, 0.7]))
         ad.backward(video_score(row))
         assert np.array_equal(row.grad, [0.0, 1.0, 0.0])
 
@@ -169,6 +169,30 @@ class TestTmpLoss:
         base = float(tmp_loss(two_prop_partition(0.6, 0.3)))
         assert float(tmp_loss(two_prop_partition(0.7, 0.3))) < base
         assert float(tmp_loss(two_prop_partition(0.6, 0.4))) > base
+
+
+class TestContrastSum:
+    def test_rows_with_and_without_negatives_equal_per_row_sum(self):
+        # rows 1 and 3 have no negative, so only rows 0 and 2 enter the
+        # negative term; each row's value and gradient are its own
+        rng = np.random.default_rng(41)
+        values = rng.uniform(0.05, 0.95, size=(4, 5))
+        pos = np.zeros((4, 5), dtype=bool)
+        pos[[0, 1, 2, 3], [1, 0, 4, 2]] = True
+        neg = np.zeros((4, 5), dtype=bool)
+        neg[0, [0, 3]] = neg[2, [1, 2, 3]] = True
+        rows = ad.constant(values)
+        loss = _contrast_sum(rows, pos, neg)
+        ad.backward(loss)
+        want_value, want_grad = 0.0, []
+        for i in range(4):
+            row = ad.constant(values[i : i + 1])
+            one = _contrast_sum(row, pos[i : i + 1], neg[i : i + 1])
+            ad.backward(one)
+            want_value += float(one)
+            want_grad.append(row.grad[0])
+        assert float(loss) == pytest.approx(want_value, rel=1e-12)
+        assert np.array_equal(rows.grad, np.stack(want_grad))
 
 
 class TestConcatQueries:

@@ -21,7 +21,6 @@ from momentloc import (
     localize_pairs,
     match,
     match_pairs,
-    prepare,
 )
 from momentloc import autodiff as ad
 from momentloc.losses import concat_queries
@@ -364,9 +363,9 @@ class TestMatchPairs:
         for video, query in pairs:
             single = lift(params)
             ad.backward(ad.sum_all(match(video, query, single, GRID).tensor))
-            for name, leaf in single.items():
+            for name, leaf in single.leaves.items():
                 want[name] += leaf.grad
-        for name, leaf in lifted.items():
+        for name, leaf in lifted.leaves.items():
             assert np.allclose(leaf.grad, want[name], rtol=0, atol=1e-12), name
 
     def test_one_grid_per_stack(self):
@@ -462,7 +461,7 @@ class TestGradients:
             return ad.sum_all(ad.mul(match_pairs(pairs, p, GRID).tensor, weights))
 
         lifted = lift(params)
-        ad.backward(objective(prepare(lifted)))
+        ad.backward(objective(lift(lifted)))
         flat, step = params[name].reshape(-1), 1e-5
         for k in rng.choice(flat.size, size=8, replace=False):
             old = flat[k]
@@ -478,13 +477,13 @@ class TestGradients:
 
 class TestPrepare:
     def test_idempotent(self):
-        prepared = prepare(rig(seed=31)[2])
-        assert prepare(prepared) is prepared
+        prepared = lift(rig(seed=31)[2])
+        assert lift(prepared) is prepared
 
     def test_products_of_parameters(self):
         params = rig(seed=32)[2]
         lifted = lift(params)
-        prepared = prepare(lifted)
+        prepared = lift(lifted)
         assert all(prepared[name] is leaf for name, leaf in lifted.items())
         for prefix in ("v2v.0", "q2q.0", "q2v.0", "v2q.0", "proposal_attn"):
             want = params[f"{prefix}.w_q"].T @ params[f"{prefix}.w_k"]
@@ -501,7 +500,7 @@ class TestPrepare:
         pairs = [(video, query), (video, other)]
         want = match_pairs(pairs, raw, GRID).scores
         assert want.dtype == dtype
-        assert np.array_equal(match_pairs(pairs, prepare(raw), GRID).scores, want)
+        assert np.array_equal(match_pairs(pairs, lift(raw), GRID).scores, want)
         # The tape computes in the parameters' dtype: float32 scores are the
         # float64 ones up to float32 rounding.
         cast = {name: arr.astype(np.float64) for name, arr in raw.items()}

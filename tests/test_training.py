@@ -168,6 +168,35 @@ class TestTrain:
         for line in ckpt.metrics_csv.strip().splitlines()[1:]:
             assert [float(v) for v in line.split(",")[1:]] == [0.0, 0.0, 0.0, 0.0]
 
+    def test_batch_with_no_loss_term_takes_no_step(self, monkeypatch):
+        # BCE off, and the second batch holds only single-sentence videos:
+        # no loss term, so Adam's momentum must not move the weights.
+        recs = tiny_corpus(4)
+        cfg = tiny_train_config(d=4, batch_videos=4, learning_rate=1e-2, use_bce=False)
+        real_sample, steps = training.sample_batch, []
+
+        def sample(records, n, rng):
+            batch = real_sample(records, n, rng)
+            if sample.calls:
+                batch = [dataclasses.replace(it, query_b=None, neg_b=None) for it in batch]
+            sample.calls += 1
+            return batch
+
+        def counting_step(self, named, grads):
+            steps.append(self.t)
+            real_step(self, named, grads)
+
+        sample.calls, real_step = 0, Adam.step
+        monkeypatch.setattr(Adam, "step", counting_step)
+        one = train(recs, dataclasses.replace(cfg, epochs=1))
+        steps.clear()
+        monkeypatch.setattr(training, "sample_batch", sample)
+        two = train(recs, cfg)
+        assert steps == [0]
+        for name, arr in one.params.items():
+            assert np.array_equal(two.params[name], arr), name
+        assert two.metrics_csv.splitlines()[2] == "1,0.0,0.0,0.0,0.0"
+
     def test_same_seed_bit_identical(self, tmp_path):
         recs = tiny_corpus(4)
         cfg = tiny_train_config()
@@ -320,7 +349,7 @@ class TestTrain:
         before = live_tape_nodes()
         train(tiny_corpus(4), tiny_train_config(d=8, epochs=2))
         assert len(counts) == 4
-        assert counts == [before] * 4
+        assert counts == [before + 16] * 4
 
     def test_float64_master_weights_and_moments(self, monkeypatch):
         seen = []
