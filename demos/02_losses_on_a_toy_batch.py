@@ -58,19 +58,21 @@ if __name__ == "__main__":
     # temporal loss: every ordered proposal pair is positive or negative
     joint = joint_probability(scores_1, scores_2)
     part = temporal_partition(joint, scores_1.grid, q1.position, q2.position)
-    print(f"ordered pairs: {len(part.positives)} consistent, "
-          f"{len(part.negatives)} inconsistent")
+    consistent = int(part.consistent_mask.sum())
+    print(f"ordered pairs: {consistent} consistent, "
+          f"{part.consistent_mask.size - consistent} inconsistent")
     print(f"tmp term: {float(tmp_loss(part)):.4f}")
 
     # semantic loss: rate proposals by overlap with the pair's best hull
-    strongest = max(part.positives, key=lambda kv: kv[1])
-    (k, kp), prob = strongest
+    strongest = np.where(part.consistent_mask, part.joint, -np.inf).argmax()
+    k, kp = np.unravel_index(strongest, part.joint.shape)
     union = hull(scores_1.grid.segments[k], scores_1.grid.segments[kp])
     sp = semantic_partition(match(video, q1, params, grid_config), union, 0.5)
     print(f"best consistent pair {scores_1.grid.segments[k]} + "
           f"{scores_1.grid.segments[kp]} -> hull {union}")
+    negatives = int(sp.negative_mask.sum())
     print(f"semantic partition: positive {sp.positive[0]}, "
-          f"{len(sp.negatives)} negatives, {len(sp.excluded)} excluded")
+          f"{negatives} negatives, {len(sp.negative_mask) - 1 - negatives} excluded")
 
     # the trainer sees all of it through one call
     item = BatchItem(video, q1, NegativeSample(other, other.paragraph[0]),

@@ -349,7 +349,10 @@ def _validate_entry(vid, entry, duration):
     for ts in timestamps:
         if not (isinstance(ts, list) and len(ts) == 2):
             raise DataError(f"{vid}: timestamp {ts!r} is not a [start, end] pair")
-        s, e = float(ts[0]), float(ts[1])
+        try:
+            s, e = float(ts[0]), float(ts[1])
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"{vid}: timestamp {ts!r} is not a pair of numbers") from None
         if not (0 <= s < e <= duration):
             raise DataError(f"{vid}: timestamp [{s}, {e}] outside [0, {duration}]")
 
@@ -383,7 +386,7 @@ def _load_record(vid, entry, feature_dir, table, config) -> VideoRecord:
         raise DataError(f"{vid}: entry must be an object")
     try:
         duration = float(entry["duration"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise DataError(f"{vid}: missing or non-numeric duration") from None
     _validate_entry(vid, entry, duration)
     feature_path = f"{feature_dir}/{vid}.crmf"

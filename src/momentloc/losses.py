@@ -112,36 +112,29 @@ class TemporalPartition:
     """P+/P- split of all L_s^2 ordered proposal pairs for a query pair.
 
     A pair (k, k') is positive iff the temporal order of proposals S_k, S_k'
-    equals the paragraph order of the two queries. ``positives`` and
-    ``negatives`` materialise ((k, k'), probability) lists on demand; the
-    loss itself works on the mask.
+    equals the paragraph order of the two queries. A stack of n query pairs
+    gives (n, L_s, L_s) ``joint`` and ``consistent_mask``.
     """
 
     joint: np.ndarray
     consistent_mask: np.ndarray
     tensor: Tensor | None = field(default=None, repr=False)
 
-    @property
-    def positives(self):
-        ks, kps = np.nonzero(self.consistent_mask)
-        return [((int(k), int(kp)), float(self.joint[k, kp])) for k, kp in zip(ks, kps)]
 
-    @property
-    def negatives(self):
-        ks, kps = np.nonzero(~self.consistent_mask)
-        return [((int(k), int(kp)), float(self.joint[k, kp])) for k, kp in zip(ks, kps)]
+def temporal_partition(joint, grid: ProposalGrid, j, j_prime) -> TemporalPartition:
+    """Split every ordered proposal pair by order agreement with (j, j').
 
-
-def temporal_partition(joint, grid: ProposalGrid, j: int, j_prime: int) -> TemporalPartition:
-    """Split every ordered proposal pair by order agreement with (j, j')."""
-    if j == j_prime:
+    ``joint`` is one (L_s, L_s) matrix with positions (j, j'), or an
+    (n, L_s, L_s) stack with one position per row in the arrays j and j'.
+    """
+    if np.any(np.equal(j, j_prime)):
         raise ValueError("temporal partition needs two distinct paragraph positions")
     tensor = joint if isinstance(joint, Tensor) else None
     values = joint.value if tensor is not None else np.asarray(joint, dtype=np.float64)
-    if values.shape != (len(grid), len(grid)):
-        raise ValueError(f"joint matrix must be {len(grid)}x{len(grid)}")
-    mask = grid.order_matrix() == query_order(j, j_prime)
-    return TemporalPartition(values, mask, tensor)
+    order = np.expand_dims(query_order(j, j_prime), (-2, -1))
+    if values.shape != order.shape[:-2] + (len(grid), len(grid)):
+        raise ValueError(f"joint matrix must be {len(grid)}x{len(grid)} per query pair")
+    return TemporalPartition(values, grid.order_matrix() == order, tensor)
 
 
 def _max_over(rows: Tensor, mask: np.ndarray) -> Tensor:
@@ -166,18 +159,22 @@ def _contrast_sum(rows: Tensor, pos_mask: np.ndarray, neg_mask: np.ndarray) -> T
     return loss
 
 
-def _tmp_sum(joint: Tensor, consistent: np.ndarray) -> Tensor:
-    """tmp_loss summed over stacked (n, L_s, L_s) joints and P+ masks."""
-    flat = consistent.reshape(len(consistent), -1)
+def _consistent_rows(partition: TemporalPartition) -> np.ndarray:
+    """The P+ mask with one flat row of L_s^2 pairs per query pair; raises
+    if a row has no temporally consistent pair."""
+    mask = partition.consistent_mask
+    flat = mask.reshape(-1, mask.shape[-1] * mask.shape[-1])
     if not flat.any(axis=1).all():
         raise MomentlocError("no temporally consistent proposal pair exists")
-    return _contrast_sum(ad.reshape(joint, flat.shape), flat, ~flat)
+    return flat
 
 
 def tmp_loss(partition: TemporalPartition) -> Tensor:
-    """-log(max P+) - log(1 - max P-); an empty P- contributes nothing."""
+    """-log(max P+) - log(1 - max P-), summed over a stack; an empty P-
+    contributes nothing."""
     jt = partition.tensor if partition.tensor is not None else ad.constant(partition.joint)
-    return _tmp_sum(jt, partition.consistent_mask[None])
+    flat = _consistent_rows(partition)
+    return _contrast_sum(ad.reshape(jt, flat.shape), flat, ~flat)
 
 
 def concat_queries(qa, qb, max_concat: int = 40):
@@ -194,43 +191,28 @@ class SemanticPartition:
 
     The positive is the single proposal most overlapping the hull; negatives
     are all proposals with IoU below tau (the positive exempted); the rest
-    are excluded from the loss. The three sets partition the grid.
-    ``negatives`` and ``excluded`` materialise (proposal index, probability)
-    lists on demand; the loss itself works on the mask.
+    are excluded from the loss. The three sets partition the grid. Stacked
+    scores give one index and probability, and one mask row, per row.
     """
 
     positive: tuple  # (proposal index, probability)
     negative_mask: np.ndarray = field(repr=False)
-    scores: np.ndarray = field(repr=False)
-
-    def _listed(self, mask: np.ndarray) -> list:
-        return [(int(i), float(self.scores[i])) for i in np.flatnonzero(mask)]
-
-    @property
-    def negatives(self):
-        return self._listed(self.negative_mask)
-
-    @property
-    def excluded(self):
-        excluded_mask = ~self.negative_mask
-        excluded_mask[self.positive[0]] = False
-        return self._listed(excluded_mask)
 
 
 def semantic_partition(scores: MatchScores, hull_seg, tau: float) -> SemanticPartition:
-    ious = scores.grid.iou_with(hull_seg)
-    pos_idx = int(ious.argmax())
-    neg_mask = ious < tau
-    neg_mask[pos_idx] = False
-    return SemanticPartition((pos_idx, float(scores.scores[pos_idx])), neg_mask, scores.scores)
+    """Split the proposals of ``scores`` by IoU with ``hull_seg``: one
+    segment for all rows, or (starts, ends) arrays with one hull per row."""
+    ious = np.broadcast_to(scores.grid.iou_with(hull_seg), scores.scores.shape)
+    pos_idx = ious.argmax(axis=-1)
+    at = np.expand_dims(pos_idx, -1)
+    prob = np.take_along_axis(scores.scores, at, -1)[..., 0]
+    return SemanticPartition((pos_idx, prob), (ious < tau) & (np.arange(ious.shape[-1]) != at))
 
 
-def _smt_sum(scores: Tensor, parts) -> Tensor:
-    """smt_loss summed over stacked (n, L_s) concatenated-query scores and
-    their semantic partitions."""
-    pos = np.zeros(scores.shape, dtype=bool)
-    pos[np.arange(len(parts)), [part.positive[0] for part in parts]] = True
-    return _contrast_sum(scores, pos, np.stack([part.negative_mask for part in parts]))
+def _smt_sum(scores: Tensor, part: SemanticPartition) -> Tensor:
+    """smt_loss summed over stacked (n, L_s) scores and their partition."""
+    pos = np.arange(scores.shape[-1]) == np.expand_dims(part.positive[0], -1)
+    return _contrast_sum(scores, pos, part.negative_mask)
 
 
 def smt_loss(video, qa, qb, best_pair, params, tau: float, grid_config: GridConfig,
@@ -242,33 +224,22 @@ def smt_loss(video, qa, qb, best_pair, params, tau: float, grid_config: GridConf
     hull-IoU below tau.
     """
     ms = match_pairs([(video, concat_queries(qa, qb, max_concat))], params, grid_config)
-    part = semantic_partition(_row(ms, 0), hull(best_pair[0], best_pair[1]), tau)
-    return _smt_sum(ms.tensor, [part])
-
-
-def _row(ms: MatchScores, i: int) -> MatchScores:
-    """Row i of stacked scores, values only."""
-    return MatchScores(ms.scores[i], ms.grid)
+    return _smt_sum(ms.tensor, semantic_partition(ms, hull(*best_pair), tau))
 
 
 def _best_consistent_pair(partition: TemporalPartition, grid: ProposalGrid):
-    """Argmax of the joint probability over P+; ties prefer earlier starts."""
-    if not partition.consistent_mask.any():
-        raise MomentlocError("no temporally consistent proposal pair exists")
-    masked = np.where(partition.consistent_mask, partition.joint, -np.inf)
-    best = masked.max()
-    if np.isnan(best):
-        # Scores have gone non-finite; any consistent pair keeps the loss
-        # value NaN so the trainer's divergence guard can report it.
-        ks, kps = np.nonzero(partition.consistent_mask)
-    else:
-        ks, kps = np.nonzero(partition.consistent_mask & (partition.joint == best))
-    order = min(
-        range(len(ks)),
-        key=lambda i: (grid.starts[ks[i]], grid.starts[kps[i]], int(ks[i]), int(kps[i])),
-    )
-    k, kp = int(ks[order]), int(kps[order])
-    return grid.segments[k], grid.segments[kp], (k, kp)
+    """(k, k') index arrays of the joint's argmax over P+, one per query pair
+    of a stack. Ties prefer earlier starts, then lower indices."""
+    flat = _consistent_rows(partition)
+    joint = partition.joint.reshape(flat.shape)
+    best = np.where(flat, joint, -np.inf).max(axis=1, keepdims=True)
+    # A row of non-finite scores has a NaN max; any consistent pair keeps its
+    # loss NaN, so that the trainer's divergence guard can report it.
+    tied = flat & ((joint == best) | np.isnan(best))
+    k, kp = np.divmod(np.arange(flat.shape[1]), len(grid))
+    rank = np.lexsort((kp, k, grid.starts[kp], grid.starts[k]))
+    pick = rank[tied[:, rank].argmax(axis=1)].reshape(partition.joint.shape[:-2])
+    return k[pick], kp[pick]
 
 
 @dataclass
@@ -311,7 +282,8 @@ def total_loss(batch, params, config: LossConfig) -> LossBreakdown:
             bce_rows += [(row(item.video, q), row(item.video, negs.neg_query),
                           row(negs.neg_video, q)) for q, negs in queries]
         if item.query_b is not None and (config.use_tmp or config.use_smt):
-            tmp_rows.append((item, row(item.video, item.query_a), row(item.video, item.query_b)))
+            tmp_rows.append((row(item.video, item.query_a), row(item.video, item.query_b),
+                             item.query_a.position, item.query_b.position))
             if config.use_smt:
                 cq = concat_queries(item.query_a, item.query_b, config.max_concat_len)
                 smt_rows.append(row(item.video, cq))
@@ -326,31 +298,27 @@ def total_loss(batch, params, config: LossConfig) -> LossBreakdown:
         p_video = video_score(scores)
         terms = bce_loss(ad.pick(p_video, pos), ad.pick(p_video, neg_q), ad.pick(p_video, neg_v))
         components["bce"] = ad.scale(ad.sum_all(terms), 1.0 / len(bce_rows))
-    consistent_flags = []
+    consistent_fraction = None
     if tmp_rows:
-        items, rows_a, rows_b = zip(*tmp_rows)
-        joint = joint_probability(ad.pick(scores, np.array(rows_a)),
-                                  ad.pick(scores, np.array(rows_b)))
-        parts = [temporal_partition(values, ms.grid, it.query_a.position, it.query_b.position)
-                 for values, it in zip(joint.value, items)]
-        consistent_flags = [bool(part.consistent_mask.flat[int(part.joint.argmax())])
-                            for part in parts]
+        rows_a, rows_b, pos_a, pos_b = (np.array(c) for c in zip(*tmp_rows))
+        joint = joint_probability(ad.pick(scores, rows_a), ad.pick(scores, rows_b))
+        part = temporal_partition(joint, ms.grid, pos_a, pos_b)
+        flat = part.consistent_mask.reshape(len(tmp_rows), -1)
+        at_max = flat[np.arange(len(flat)), part.joint.reshape(flat.shape).argmax(axis=1)]
+        consistent_fraction = float(at_max.mean())
         if config.use_tmp:
-            masks = np.stack([part.consistent_mask for part in parts])
-            components["tmp"] = ad.scale(_tmp_sum(joint, masks), 1.0 / len(parts))
+            components["tmp"] = ad.scale(tmp_loss(part), 1.0 / len(tmp_rows))
         if config.use_smt:
-            sem = []
-            for part, r in zip(parts, smt_rows):
-                seg_a, seg_b, _ = _best_consistent_pair(part, ms.grid)
-                sem.append(semantic_partition(_row(ms, r), hull(seg_a, seg_b), config.tau))
+            k, kp = _best_consistent_pair(part, ms.grid)
+            union = hull((ms.grid.starts[k], ms.grid.ends[k]),
+                         (ms.grid.starts[kp], ms.grid.ends[kp]))
+            sem = semantic_partition(MatchScores(ms.scores[smt_rows], ms.grid), union, config.tau)
             components["smt"] = ad.scale(_smt_sum(ad.pick(scores, np.array(smt_rows)), sem),
-                                         1.0 / len(sem))
+                                         1.0 / len(smt_rows))
     return LossBreakdown(
         total=reduce(ad.add, components.values()),
         bce=float(components.get("bce", 0.0)),
         tmp=float(components.get("tmp", 0.0)),
         smt=float(components.get("smt", 0.0)),
-        order_consistent_fraction=(
-            sum(consistent_flags) / len(consistent_flags) if consistent_flags else None
-        ),
+        order_consistent_fraction=consistent_fraction,
     )

@@ -58,13 +58,14 @@ def iou(a, b) -> float:
 def hull(a, b):
     """Smallest contiguous interval containing both inputs.
 
-    Returns a Segment when both inputs are Segments, else a (start, end) pair.
+    Returns a Segment when both inputs are Segments, else a (start, end) pair;
+    pairs of (starts, ends) arrays give one hull per element.
     """
     sa, ea = _bounds(a)
     sb, eb = _bounds(b)
     if isinstance(a, Segment) and isinstance(b, Segment):
         return Segment(min(sa, sb), max(ea, eb))
-    return (min(sa, sb), max(ea, eb))
+    return (np.minimum(sa, sb), np.maximum(ea, eb))
 
 
 def order_relation(a, b) -> int:
@@ -74,9 +75,10 @@ def order_relation(a, b) -> int:
     return 0 if sa < sb else 1
 
 
-def query_order(j: int, j_prime: int) -> int:
-    """Order indicator for paragraph positions: 1 iff j >= j'."""
-    return 1 if j >= j_prime else 0
+def query_order(j, j_prime):
+    """Order indicator for paragraph positions: 1 iff j >= j', elementwise
+    for arrays of positions."""
+    return np.greater_equal(j, j_prime).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,9 @@ class ProposalGrid:
         return np.where(before, 0, 1).astype(np.int8)
 
     def iou_with(self, seg) -> np.ndarray:
-        """Vector of IoU(proposal_k, seg) over the whole grid."""
-        s, e = _bounds(seg)
+        """Vector of IoU(proposal_k, seg) over the whole grid; (starts, ends)
+        arrays of n segments give an (n, L_s) matrix."""
+        s, e = (np.expand_dims(b, -1) for b in _bounds(seg))
         inter = np.minimum(self.ends, e) - np.maximum(self.starts, s)
         union = np.maximum(self.ends, e) - np.minimum(self.starts, s)
         return np.maximum(inter, 0) / union

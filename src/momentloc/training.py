@@ -23,7 +23,14 @@ from . import autodiff as ad
 from .data import atomic_write
 from .errors import DataError, TrainingDivergedError, require
 from .losses import BatchItem, LossConfig, NegativeSample, total_loss
-from .network import ModelParams, _param_table, init_params, lift, params_from_named
+from .network import (
+    _ATTENTION_KEYS,
+    ModelParams,
+    _param_table,
+    init_params,
+    lift,
+    params_from_named,
+)
 from .segments import GridConfig
 
 _CHECKPOINT_MAGIC = b"CRMC"
@@ -294,17 +301,30 @@ def load_checkpoint(path) -> Checkpoint:
         sizes = [config[k] for k in ("d", "d_v", "d_t", "depth_self", "depth_cross", "l_c",
                                      "stride")] + list(config["window_sizes"])
         sizes += [config.get(k, 1) for k in ("pool_span", "max_sentence_len", "max_concat_len")]
-        if not all(type(n) is int for n in sizes):
-            raise TypeError(f"sizes must be integers, got {sizes}")
+        if not all(type(n) is int and n >= 0 for n in sizes):
+            raise TypeError(f"sizes must be non-negative integers, got {sizes}")
         d, depth_self, depth_cross = config["d"], config["depth_self"], config["depth_cross"]
-        table = dict(_param_table(d, config["d_v"], config["d_t"], depth_self, depth_cross))
-        tensors = [(e["name"], tuple(int(n) for n in e["shape"])) for e in manifest["tensors"]]
+        tensors = [(e["name"], e["shape"]) for e in manifest["tensors"]]
+        if not all(type(name) is str and type(shape) is list
+                   and all(type(n) is int and n >= 0 for n in shape) for name, shape in tensors):
+            raise TypeError("each tensor needs a name and a list of non-negative integer sizes")
         fields = [manifest[k] for k in ("epoch", "rng_digest", "metrics_csv", "order_consistency")]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
+    # Count before building the table: a depth read from the file may be huge.
+    units = depth_self + depth_cross
+    model_count = len(_param_table(d, 0, 0, 0, 0)) + 2 * len(_ATTENTION_KEYS) * units
+    if len(tensors) != model_count:
+        raise DataError(f"{path}: manifest lists {len(tensors)} tensors, "
+                        f"the model has {model_count}")
+    table = dict(_param_table(d, config["d_v"], config["d_t"], depth_self, depth_cross))
+    names = [name for name, _ in tensors]
+    if sorted(names) != sorted(table):
+        raise DataError(f"{path}: manifest tensors differ from the model's at "
+                        f"{sorted(set(names) ^ table.keys())}")
     for name, shape in tensors:
-        if table.get(name, shape) != shape:
-            raise DataError(f"{path}: tensor {name!r} has shape {list(shape)}, "
+        if table[name] != tuple(shape):
+            raise DataError(f"{path}: tensor {name!r} has shape {shape}, "
                             f"the model needs {list(table[name])}")
     offset = 9 + mlen
     expected = offset + 4 * sum(math.prod(shape) for _, shape in tensors)

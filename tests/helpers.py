@@ -12,6 +12,9 @@ from momentloc import (
     Sentence,
     TokenSequence,
     VideoRecord,
+    iou,
+    order_relation,
+    query_order,
 )
 
 
@@ -55,6 +58,46 @@ def tiny_params(d, d_v, d_t, depth_self=1, depth_cross=1, seed=0):
     return init_params(d, d_v, d_t, depth_self, depth_cross, np.random.default_rng(seed))
 
 
+def mask_pairs(mask) -> set:
+    """The (k, k') index pairs of the True entries of a 2-D mask."""
+    return {(int(k), int(kp)) for k, kp in zip(*np.nonzero(mask))}
+
+
+def excluded_mask(part) -> np.ndarray:
+    """Proposals a semantic partition neither contrasts nor takes as positive."""
+    index = np.arange(part.negative_mask.shape[-1])
+    return ~part.negative_mask & (index != np.expand_dims(part.positive[0], -1))
+
+
+def oracle_consistent_mask(grid, j, j_prime) -> np.ndarray:
+    """P+ mask built pair by pair from order_relation and query_order."""
+    want = query_order(j, j_prime)
+    return np.array([[order_relation(a, b) == want for b in grid.segments]
+                     for a in grid.segments])
+
+
+def oracle_best_pair(joint, mask, grid) -> tuple:
+    """(k, k') of the largest joint value over P+, scanned pair by pair.
+
+    Every P+ pair is a candidate when that largest value is NaN; among the
+    candidates the least (start_k, start_k', k, k') wins.
+    """
+    best = np.where(mask, joint, -np.inf).max()
+    ks, kps = np.nonzero(mask if np.isnan(best) else mask & (joint == best))
+    order = min(range(len(ks)),
+                key=lambda i: (grid.starts[ks[i]], grid.starts[kps[i]], int(ks[i]), int(kps[i])))
+    return int(ks[order]), int(kps[order])
+
+
+def oracle_semantic(grid, hull_seg, tau) -> tuple:
+    """(positive index, negative mask) from iou() proposal by proposal."""
+    ious = np.array([iou(seg, hull_seg) for seg in grid.segments])
+    positive = int(ious.argmax())
+    negative = ious < tau
+    negative[positive] = False
+    return positive, negative
+
+
 def run_partition_property(cases, seed=0, max_ls=20):
     """Exhaustiveness audit of both partition builders over random grids.
 
@@ -89,8 +132,8 @@ def run_partition_property(cases, seed=0, max_ls=20):
             jp += 1
         joint = rng.random((ls, ls))
         part = temporal_partition(joint, grid, j, jp)
-        pos = {pair for pair, _ in part.positives}
-        neg = {pair for pair, _ in part.negatives}
+        pos = mask_pairs(part.consistent_mask)
+        neg = mask_pairs(~part.consistent_mask)
         every = {(a, b) for a in range(ls) for b in range(ls)}
         assert pos | neg == every and not (pos & neg)
         assert len(pos) + len(neg) == ls * ls
@@ -105,8 +148,8 @@ def run_partition_property(cases, seed=0, max_ls=20):
         tau = float(rng.uniform(0.2, 0.8))
         sp = semantic_partition(scores, hull_seg, tau)
         p_idx = sp.positive[0]
-        negs = {i for i, _ in sp.negatives}
-        exc = {i for i, _ in sp.excluded}
+        negs = set(np.flatnonzero(sp.negative_mask).tolist())
+        exc = set(np.flatnonzero(excluded_mask(sp)).tolist())
         assert {p_idx} | negs | exc == set(range(ls))
         assert 1 + len(negs) + len(exc) == ls
         ious = np.array([iou(s, hull_seg) for s in grid.segments])

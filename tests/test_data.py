@@ -257,6 +257,26 @@ class TestLoadCorpus:
         assert result.skip_count == 1
         assert result.skipped[0][0] == "bad"
 
+    @pytest.mark.parametrize("bad", [["a", 5], [None, 5], [[1], 5], [10**400, 5]])
+    def test_non_numeric_timestamp_skipped(self, tmp_path, bad):
+        entries = {
+            "bad": {"duration": 10.0, "timestamps": [bad], "sentences": ["a man runs"]},
+            "good": {"duration": 10.0, "timestamps": [[1, 2]], "sentences": ["a man runs"]},
+        }
+        ann, feat = write_fixture_corpus(tmp_path, entries, {"bad": 8, "good": 8})
+        result = load_corpus(ann, feat, self.table(), self.CFG)
+        assert [r.id for r in result.records] == ["good"]
+        assert result.skipped == (("bad", f"bad: timestamp {bad!r} is not a pair of numbers"),)
+
+    def test_huge_integer_duration_skipped(self, tmp_path):
+        entries = {vid: {"duration": 5.0, "timestamps": [[0, 2]], "sentences": ["man runs"]}
+                   for vid in ("good", "huge")}
+        entries["huge"]["duration"] = 10**400  # no float holds it
+        ann, feat = write_fixture_corpus(tmp_path, entries, {"good": 8, "huge": 8})
+        result = load_corpus(ann, feat, self.table(), self.CFG)
+        assert [r.id for r in result.records] == ["good"]
+        assert result.skipped == (("huge", "huge: missing or non-numeric duration"),)
+
     def test_missing_feature_file_skipped(self, tmp_path):
         entries = {
             "v1": {"duration": 5.0, "timestamps": [[0, 2]], "sentences": ["man runs"]},

@@ -4,7 +4,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import make_record, run_partition_property, tiny_params, token_seq
+from helpers import (
+    excluded_mask,
+    make_record,
+    mask_pairs,
+    oracle_best_pair,
+    oracle_consistent_mask,
+    oracle_semantic,
+    run_partition_property,
+    tiny_params,
+    token_seq,
+)
 from momentloc import (
     BatchItem,
     GridConfig,
@@ -15,6 +25,7 @@ from momentloc import (
     Segment,
     bce_loss,
     concat_queries,
+    hull,
     joint_probability,
     match,
     semantic_partition,
@@ -109,22 +120,24 @@ class TestJointProbability:
 class TestTemporalPartition:
     def test_forward_order_enumeration(self):
         part = two_prop_partition(0.9, 0.2, j=0, j_prime=1)
-        assert {p for p, _ in part.positives} == {(0, 1)}
-        assert {p for p, _ in part.negatives} == {(0, 0), (1, 1), (1, 0)}
+        assert mask_pairs(part.consistent_mask) == {(0, 1)}
+        assert mask_pairs(~part.consistent_mask) == {(0, 0), (1, 1), (1, 0)}
 
     def test_reversed_order_is_complement(self):
         part = two_prop_partition(0.9, 0.2, j=1, j_prime=0)
-        assert {p for p, _ in part.positives} == {(1, 0), (0, 0), (1, 1)}
-        assert {p for p, _ in part.negatives} == {(0, 1)}
+        assert mask_pairs(part.consistent_mask) == {(1, 0), (0, 0), (1, 1)}
+        assert mask_pairs(~part.consistent_mask) == {(0, 1)}
 
     def test_single_proposal_routes_diagonal_by_query_order(self):
         grid = GridConfig((8,), 8).grid_for(8)
         assert len(grid) == 1
         joint = np.array([[0.4]])
         ahead = temporal_partition(joint, grid, 1, 0)  # query_order 1 matches
-        assert {p for p, _ in ahead.positives} == {(0, 0)} and not ahead.negatives
+        assert (mask_pairs(ahead.consistent_mask) == {(0, 0)}
+                and not mask_pairs(~ahead.consistent_mask))
         behind = temporal_partition(joint, grid, 0, 1)
-        assert not behind.positives and {p for p, _ in behind.negatives} == {(0, 0)}
+        assert (not mask_pairs(behind.consistent_mask)
+                and mask_pairs(~behind.consistent_mask) == {(0, 0)})
 
     def test_same_position_rejected(self):
         grid = TWO_GRID.grid_for(16)
@@ -227,16 +240,16 @@ class TestSemanticPartition:
         scores = MatchScores(np.array([0.7, 0.6, 0.2]), grid)
         part = semantic_partition(scores, Segment(0, 5), 0.5)
         assert part.positive == (0, 0.7)
-        assert [i for i, _ in part.negatives] == [2]
-        assert [i for i, _ in part.excluded] == [1]
+        assert list(np.flatnonzero(part.negative_mask)) == [2]
+        assert list(np.flatnonzero(excluded_mask(part))) == [1]
 
     def test_argmax_positive_kept_even_below_tau(self):
         grid = ProposalGrid((Segment(0, 2), Segment(8, 10)))
         scores = MatchScores(np.array([0.5, 0.5]), grid)
         part = semantic_partition(scores, Segment(0, 1), 0.9)
         assert part.positive[0] == 0
-        assert [i for i, _ in part.negatives] == [1]
-        assert not part.excluded
+        assert list(np.flatnonzero(part.negative_mask)) == [1]
+        assert not excluded_mask(part).any()
 
 
 class TestBestConsistentPair:
@@ -244,23 +257,71 @@ class TestBestConsistentPair:
         grid = TWO_GRID.grid_for(16)
         joint = np.array([[0.9, 0.3], [0.1, 0.8]])
         part = temporal_partition(joint, grid, 0, 1)  # P+ = {(0,1)}
-        seg_a, seg_b, pair = _best_consistent_pair(part, grid)
-        assert (seg_a, seg_b) == (Segment(0, 8), Segment(8, 16))
-        assert pair == (0, 1)
+        k, kp = _best_consistent_pair(part, grid)
+        assert (grid.segments[k], grid.segments[kp]) == (Segment(0, 8), Segment(8, 16))
+        assert (k, kp) == (0, 1)
 
     def test_tie_prefers_earlier_starts(self):
         grid = GridConfig((2,), 2).grid_for(8)  # starts 0,2,4,6
         joint = np.full((4, 4), 0.5)
         part = temporal_partition(joint, grid, 0, 1)
-        seg_a, seg_b, pair = _best_consistent_pair(part, grid)
-        assert pair == (0, 1)
-        assert (seg_a.start, seg_b.start) == (0, 2)
+        k, kp = _best_consistent_pair(part, grid)
+        assert (k, kp) == (0, 1)
+        assert (grid.segments[k].start, grid.segments[kp].start) == (0, 2)
 
     def test_no_consistent_pair_rejected(self):
         grid = GridConfig((8,), 8).grid_for(8)
         part = temporal_partition(np.array([[0.4]]), grid, 0, 1)
         with pytest.raises(MomentlocError):
             _best_consistent_pair(part, grid)
+
+
+class TestStackedTargets:
+    """Each row of the stacked targets equals the per-pair scalar oracle."""
+
+    def test_rows_equal_scalar_oracles(self):
+        rng = np.random.default_rng(23)
+        picked = raised = 0
+        while picked + raised < 300:
+            l_c = int(rng.integers(2, 30))
+            sizes = {int(s) for s in rng.integers(1, l_c + 1, size=rng.integers(1, 4))}
+            grid = GridConfig(tuple(sorted(sizes)), int(rng.integers(1, l_c + 1))).grid_for(l_c)
+            ls, n = len(grid), int(rng.integers(2, 6))
+            if ls > 16:
+                continue
+            # even rows: paragraph order j < j'; odd rows: j > j'
+            j = rng.integers(4, 8, size=n)
+            gap = rng.integers(1, 4, size=n)
+            jp = np.where(np.arange(n) % 2 == 0, j + gap, j - gap)
+            # few distinct values give exact ties; row 0 is NaN, row 1 partly
+            joint = rng.choice([0.1, 0.3, 0.6], size=(n, ls, ls))
+            joint[0] = np.nan
+            joint[1][rng.random((ls, ls)) < 0.3] = np.nan
+            part = temporal_partition(joint, grid, j, jp)
+            masks = [oracle_consistent_mask(grid, a, b) for a, b in zip(j, jp)]
+            assert np.array_equal(part.consistent_mask, np.stack(masks))
+            if all(mask.any() for mask in masks):
+                k, kp = _best_consistent_pair(part, grid)
+                assert list(zip(k.tolist(), kp.tolist())) == [
+                    oracle_best_pair(values, mask, grid) for values, mask in zip(joint, masks)]
+                starts, ends = hull((grid.starts[k], grid.ends[k]),
+                                    (grid.starts[kp], grid.ends[kp]))
+                picked += 1
+            else:
+                with pytest.raises(MomentlocError):
+                    _best_consistent_pair(part, grid)
+                starts = rng.integers(0, l_c, size=n)
+                ends = starts + 1 + (rng.random(n) * (l_c - starts)).astype(int)
+                raised += 1
+            scores = MatchScores(rng.uniform(0.01, 0.99, size=(n, ls)), grid)
+            # an IoU of integer segments can equal 1/3, 1/2 or 2/3 exactly
+            tau = (1 / 3, 1 / 2, 2 / 3, float(rng.uniform(0.2, 0.8)))[rng.integers(4)]
+            sp = semantic_partition(scores, (starts, ends), tau)
+            for i in range(n):
+                pos, neg = oracle_semantic(grid, Segment(int(starts[i]), int(ends[i])), tau)
+                assert (sp.positive[0][i], sp.positive[1][i]) == (pos, scores.scores[i, pos])
+                assert np.array_equal(sp.negative_mask[i], neg)
+        assert picked > 100 and raised > 10
 
 
 def oracle_params():
@@ -350,8 +411,9 @@ def manual_components(item, params, cfg):
     part = temporal_partition(joint, ms_a.grid, item.query_a.position,
                               item.query_b.position)
     tmp = float(tmp_loss(part))
-    seg_a, seg_b, _ = _best_consistent_pair(part, ms_a.grid)
-    smt = float(smt_loss(item.video, item.query_a, item.query_b, (seg_a, seg_b),
+    k, kp = _best_consistent_pair(part, ms_a.grid)
+    best_pair = (ms_a.grid.segments[k], ms_a.grid.segments[kp])
+    smt = float(smt_loss(item.video, item.query_a, item.query_b, best_pair,
                          params, cfg.tau, cfg.grid, cfg.max_concat_len))
     return bce_terms, tmp, smt
 

@@ -93,6 +93,18 @@ class TestSegment:
         assert query_order(2, 1) == 1
         assert query_order(1, 1) == 1
 
+    def test_query_order_of_arrays_is_elementwise(self):
+        j, jp = np.array([0, 2, 1, 3]), np.array([1, 1, 1, 4])
+        assert list(query_order(j, jp)) == [query_order(a, b) for a, b in zip(j, jp)]
+
+    def test_hull_of_arrays_matches_segments(self):
+        rng = np.random.default_rng(6)
+        a = [random_segment(rng, 30) for _ in range(50)]
+        b = [random_segment(rng, 30) for _ in range(50)]
+        bounds = [(np.array([s.start for s in x]), np.array([s.end for s in x])) for x in (a, b)]
+        starts, ends = hull(*bounds)
+        assert [Segment(int(s), int(e)) for s, e in zip(starts, ends)] == list(map(hull, a, b))
+
 
 class TestGenerateProposals:
     def test_single_full_window(self):
@@ -169,6 +181,15 @@ class TestGenerateProposals:
         got = grid.iou_with(target)
         expect = [iou(s, target) for s in grid.segments]
         assert np.allclose(got, expect, atol=1e-12)
+
+    def test_iou_with_arrays_gives_one_row_per_segment(self):
+        grid = generate_proposals(24, (4, 8, 12), 4)
+        targets = [Segment(5, 14), Segment(0, 24), Segment(20, 22)]
+        got = grid.iou_with((np.array([t.start for t in targets]),
+                             np.array([t.end for t in targets])))
+        assert got.shape == (3, len(grid))
+        for row, target in zip(got, targets):
+            assert np.array_equal(row, grid.iou_with(target))
 
 
 class TestClipsToSeconds:

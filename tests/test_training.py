@@ -473,6 +473,57 @@ class TestCheckpointIO:
         with pytest.raises(DataError, match="malformed checkpoint manifest"):
             load_checkpoint(p)
 
+    def test_manifest_of_another_depth_rejected(self, tmp_path):
+        # the tensors of a depth_cross 1 model do not fit the depth 0 that the config now reads
+        p = tmp_path / "model.crmc"
+        save_checkpoint(self.make(), p)
+        p.write_bytes(edit_manifest(p.read_bytes(),
+                                    lambda manifest: manifest["config"].update(depth_cross=0)))
+        with pytest.raises(DataError, match="manifest lists 33 tensors, the model has 23"):
+            load_checkpoint(p)
+
+    def test_huge_depth_rejected_before_table_is_built(self, tmp_path):
+        p = tmp_path / "model.crmc"
+        save_checkpoint(self.make(), p)
+        p.write_bytes(edit_manifest(p.read_bytes(),
+                                    lambda manifest: manifest["config"].update(depth_self=10**19)))
+        with pytest.raises(DataError, match="manifest lists 33 tensors"):
+            load_checkpoint(p)
+
+    def test_renamed_tensor_rejected(self, tmp_path):
+        def rename(manifest):
+            manifest["tensors"][0]["name"] = "bogus"
+
+        p = tmp_path / "model.crmc"
+        save_checkpoint(self.make(), p)
+        p.write_bytes(edit_manifest(p.read_bytes(), rename))
+        with pytest.raises(DataError, match="differ from the model's at \\['bogus', "):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", ["fusion.w"]), ("name", {}), ("shape", [-2, -2]), ("shape", [float("inf"), 4]),
+        ("shape", [8.0, 4]), ("shape", "8,4"),
+    ])
+    def test_malformed_tensor_entry_rejected(self, tmp_path, field, value):
+        # inf is written as Infinity, which reads back as the float inf, as 1e400 does
+        def edit(manifest):
+            entry = next(e for e in manifest["tensors"] if e["name"] == "fusion.w")
+            entry[field] = value
+
+        p = tmp_path / "model.crmc"
+        save_checkpoint(self.make(), p)
+        p.write_bytes(edit_manifest(p.read_bytes(), edit))
+        with pytest.raises(DataError, match="malformed checkpoint manifest"):
+            load_checkpoint(p)
+
+    def test_unknown_tensor_with_negative_shape_rejected(self, tmp_path):
+        p = tmp_path / "model.crmc"
+        save_checkpoint(self.make(), p)
+        p.write_bytes(edit_manifest(p.read_bytes(), lambda manifest: manifest["tensors"].append(
+            {"name": "bogus", "shape": [-2, -2]})))
+        with pytest.raises(DataError, match="malformed checkpoint manifest"):
+            load_checkpoint(p)
+
     def test_missing_tensor_named(self):
         named = self.make().params.named_arrays()
         named.pop("fusion.w")
