@@ -28,8 +28,9 @@ define its backward inside the op function: a node is named by the first
 part of ``_backward.__qualname__``. Then list the op in the contract table
 of ``tests/test_autodiff.py``.
 
-The max-style operations (segment_max, max_rows) route gradients to the
-first arg-max element, which keeps training deterministic under ties.
+``max_rows`` and ``softmax_rows`` both act on each row's last axis. The
+max-style operations (segment_max, max_rows) route gradients to the first
+arg-max element, which keeps training deterministic under ties.
 """
 
 from __future__ import annotations
@@ -244,26 +245,23 @@ def segment_max(a, segments) -> Tensor:
 
 
 def max_rows(a, mask: np.ndarray | None = None) -> Tensor:
-    """Column-wise max over the rows (axis -2): (..., rows, cols) -> (..., cols).
+    """Max over the last axis of each row: (..., cols) -> (...).
 
-    ``mask`` is boolean and broadcasts against ``a``; only True entries
-    compete. Raises when some column has no True entry.
+    ``mask`` broadcasts as in :func:`softmax_rows`; only True entries
+    compete. Raises when some row has no True entry.
     """
     a = as_tensor(a)
     x = a.value
-    if mask is None:
-        idx = x.argmax(axis=-2)
-    else:
+    if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if not np.broadcast_to(mask, x.shape).any(axis=-2).all():
+        if not np.broadcast_to(mask, x.shape).any(axis=-1).all():
             raise ValueError("max_rows over an empty selection")
-        idx = np.where(mask, x, -np.inf).argmax(axis=-2)
-    idx = idx[..., None, :]
-    out_value = np.take_along_axis(x, idx, axis=-2)[..., 0, :]
+    idx = (x if mask is None else np.where(mask, x, -np.inf)).argmax(axis=-1)[..., None]
+    out_value = np.take_along_axis(x, idx, axis=-1)[..., 0]
 
     def backward(g):
         ga = np.zeros_like(x)
-        np.put_along_axis(ga, idx, g[..., None, :], axis=-2)
+        np.put_along_axis(ga, idx, g[..., None], axis=-1)
         return (ga,)
 
     return Tensor(out_value, (a,), backward)

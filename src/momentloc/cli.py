@@ -23,8 +23,8 @@ import sys
 from dataclasses import asdict, fields
 
 from .config import default_run_config, load_run_config
-from .data import (DataConfig, atomic_write, filter_split, load_corpus, load_embeddings,
-                   open_text, read_annotations)
+from .data import (SPLITS, DataConfig, atomic_write, filter_split, load_corpus,
+                   load_embeddings, open_text, read_annotations, read_timestamps)
 from .errors import ConfigError, DataError, MomentlocError, require
 from .evaluation import _fmt, analyze_predictions, evaluate, report_to_json, report_to_table
 from .segments import Segment
@@ -112,8 +112,9 @@ def cmd_eval(args) -> int:
 
 
 def read_predictions(path) -> dict:
-    """Parse a predictions TSV: video_id, position, start_s, end_s."""
-    preds = {}
+    """Parse a predictions TSV: video_id, position, start_s, end_s. A
+    (video_id, position) listed twice raises DataError naming both lines."""
+    preds, line_of = {}, {}
     try:
         with open_text(path) as fh:
             lines = fh.read().splitlines()
@@ -127,10 +128,13 @@ def read_predictions(path) -> dict:
             raise DataError(f"{path}:{n}: expected 4 tab-separated fields")
         vid, pos_raw, start_raw, end_raw = parts
         try:
-            key = (vid, int(pos_raw))
-            preds[key] = Segment(float(start_raw), float(end_raw))
-        except (ValueError, DataError) as exc:
+            key, segment = (vid, int(pos_raw)), Segment(float(start_raw), float(end_raw))
+        except ValueError as exc:
             raise DataError(f"{path}:{n}: {exc}") from None
+        if key in line_of:
+            raise DataError(f"{path}:{n}: video {vid!r} position {key[1]} "
+                            f"is predicted on line {line_of[key]} already")
+        preds[key], line_of[key] = segment, n
     if not preds:
         raise DataError(f"{path}: no predictions found")
     return preds
@@ -139,13 +143,8 @@ def read_predictions(path) -> dict:
 def cmd_analyze(args) -> int:
     require(0 <= args.tau_eval < 1, "--tau-eval", "lie in [0, 1)", args.tau_eval)
     preds = read_predictions(args.predictions)
-    doc = read_annotations(args.annotations)
-    gt_map = {}
-    for vid, entry in doc.items():
-        try:
-            gt_map[vid] = [Segment(float(s), float(e)) for s, e in entry["timestamps"]]
-        except (KeyError, TypeError, ValueError, DataError) as exc:
-            raise DataError(f"{vid}: bad annotation entry ({exc})") from None
+    gt_map = {vid: read_timestamps(vid, entry)
+              for vid, entry in read_annotations(args.annotations).items()}
     result = analyze_predictions(preds, gt_map, args.tau_eval)
     print(f"temporal consistency  {_fmt(result['temporal_consistency'])}")
     print(f"semantic consistency  {_fmt(result['semantic_consistency'])}")
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("data_dir")
     p.add_argument("--thresholds", default="0.1,0.3,0.5", help="comma-separated IoU thresholds")
-    p.add_argument("--split", default="all", choices=("all", "train", "val", "test"))
+    p.add_argument("--split", default="all", choices=("all",) + SPLITS)
     p.add_argument("--tau-eval", type=float, default=0.5, dest="tau_eval")
     p.add_argument("--out", default=None, help="JSON report path (default CHECKPOINT.eval.json)")
     p.set_defaults(func=cmd_eval)

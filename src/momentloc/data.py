@@ -339,13 +339,13 @@ class CorpusLoadResult:
         return len(self.skipped)
 
 
-def _validate_entry(vid, entry, duration):
-    timestamps = entry.get("timestamps")
-    sentences = entry.get("sentences")
-    if not isinstance(timestamps, list) or not isinstance(sentences, list):
-        raise DataError(f"{vid}: timestamps/sentences missing or not lists")
-    if len(timestamps) != len(sentences) or not sentences:
-        raise DataError(f"{vid}: need equally many timestamps and sentences, at least one")
+def read_timestamps(vid, entry, duration=math.inf) -> list:
+    """An entry's ``timestamps`` as Segments (seconds); DataError unless each
+    is a [start, end] list of numbers with 0 <= start < end <= duration."""
+    timestamps = entry.get("timestamps") if isinstance(entry, dict) else None
+    if not isinstance(timestamps, list):
+        raise DataError(f"{vid}: timestamps missing or not a list")
+    segments = []
     for ts in timestamps:
         if not (isinstance(ts, list) and len(ts) == 2):
             raise DataError(f"{vid}: timestamp {ts!r} is not a [start, end] pair")
@@ -355,6 +355,8 @@ def _validate_entry(vid, entry, duration):
             raise DataError(f"{vid}: timestamp {ts!r} is not a pair of numbers") from None
         if not (0 <= s < e <= duration):
             raise DataError(f"{vid}: timestamp [{s}, {e}] outside [0, {duration}]")
+        segments.append(Segment(s, e))
+    return segments
 
 
 def load_corpus(annotation_path, feature_dir, table: EmbeddingTable, config: DataConfig) -> CorpusLoadResult:
@@ -388,19 +390,19 @@ def _load_record(vid, entry, feature_dir, table, config) -> VideoRecord:
         duration = float(entry["duration"])
     except (KeyError, TypeError, ValueError, OverflowError):
         raise DataError(f"{vid}: missing or non-numeric duration") from None
-    _validate_entry(vid, entry, duration)
+    segments = read_timestamps(vid, entry, duration)
+    sentences = entry.get("sentences")
+    if not isinstance(sentences, list) or len(sentences) != len(segments) or not sentences:
+        raise DataError(f"{vid}: need a list of sentences, one per timestamp, at least one")
     feature_path = f"{feature_dir}/{vid}.crmf"
     try:
         matrix = read_features(feature_path)
     except FileNotFoundError:
         raise DataError(f"{vid}: missing feature file {feature_path}") from None
     clips = build_clips(FrameFeatures(matrix), config.l_c, config.pool_span)
-    sentences = []
-    for pos, (text, ts) in enumerate(zip(entry["sentences"], entry["timestamps"])):
-        tokens = tokenize(str(text), table, config.max_sentence_len)
-        gt = Segment(float(ts[0]), float(ts[1]))
-        sentences.append(Sentence(tokens, pos, gt))
-    return VideoRecord(vid, duration, clips, sentences, entry.get("split", "train"))
+    paragraph = [Sentence(tokenize(str(text), table, config.max_sentence_len), pos, gt)
+                 for pos, (text, gt) in enumerate(zip(sentences, segments))]
+    return VideoRecord(vid, duration, clips, paragraph, entry.get("split", "train"))
 
 
 def save_corpus(records, table: EmbeddingTable, out_dir):

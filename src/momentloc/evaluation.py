@@ -102,18 +102,17 @@ def recall_from_predictions(records, preds: dict, thresholds) -> tuple:
     return recall, details
 
 
-# The pair-consistency core: every protocol enumerates a video's sentence
-# pairs with itertools.combinations and scores each with one of these.
+def _sentence_pairs(gt_map: dict):
+    """The pair-consistency walk: (video id, a, b, gt_a, gt_b) for each pair of
+    positions a < b in each video of ``gt_map``, video ids in sorted order."""
+    for vid in sorted(gt_map):
+        for (a, gt_a), (b, gt_b) in combinations(enumerate(gt_map[vid]), 2):
+            yield vid, a, b, gt_a, gt_b
 
-def _order_consistent(pred_a, pred_b, gt_a, gt_b) -> bool:
-    """The two predictions are ordered like the two ground-truth segments."""
-    return order_relation(pred_a, pred_b) == order_relation(gt_a, gt_b)
 
-
-def _hull_consistent(pred, gt_a, gt_b, tau_eval) -> bool:
-    """The pair's prediction overlaps the hull of its two ground-truth
-    segments with IoU strictly above tau_eval."""
-    return iou(pred, hull(gt_a, gt_b)) > tau_eval
+def _ground_truth(records) -> dict:
+    """Video id -> its sentences' ground-truth segments in position order."""
+    return {rec.id: [sent.gt_segment for sent in rec.paragraph] for rec in records}
 
 
 def _ratio(flags: list) -> float | None:
@@ -121,12 +120,9 @@ def _ratio(flags: list) -> float | None:
 
 
 def temporal_consistency_from_predictions(records, preds: dict) -> float | None:
-    """Ratio of sentence pairs whose predictions are ordered like the truth."""
-    return _ratio([
-        _order_consistent(preds[(rec.id, a.position)], preds[(rec.id, b.position)],
-                          a.gt_segment, b.gt_segment)
-        for rec in records for a, b in combinations(rec.paragraph, 2)
-    ])
+    """Ratio of sentence pairs whose predictions are ordered like the truth:
+    :func:`analyze_predictions` on the records' ground truth."""
+    return analyze_predictions(preds, _ground_truth(records))["temporal_consistency"]
 
 
 def analyze_predictions(preds: dict, gt_map: dict, tau_eval=0.5) -> dict:
@@ -147,14 +143,13 @@ def analyze_predictions(preds: dict, gt_map: dict, tau_eval=0.5) -> dict:
         raise PredictionsMismatchError(sorted(unmatched))
     tempo, sem = [], []
     skipped = 0
-    for vid in sorted(gt_map):
-        for (a, gt_a), (b, gt_b) in combinations(enumerate(gt_map[vid]), 2):
-            if (vid, a) not in preds or (vid, b) not in preds:
-                skipped += 1
-                continue
-            pred_a, pred_b = preds[(vid, a)], preds[(vid, b)]
-            tempo.append(_order_consistent(pred_a, pred_b, gt_a, gt_b))
-            sem.append(_hull_consistent(hull(pred_a, pred_b), gt_a, gt_b, tau_eval))
+    for vid, a, b, gt_a, gt_b in _sentence_pairs(gt_map):
+        if (vid, a) not in preds or (vid, b) not in preds:
+            skipped += 1
+            continue
+        pred_a, pred_b = preds[(vid, a)], preds[(vid, b)]
+        tempo.append(order_relation(pred_a, pred_b) == order_relation(gt_a, gt_b))
+        sem.append(iou(hull(pred_a, pred_b), hull(gt_a, gt_b)) > tau_eval)
     return {
         "temporal_consistency": _ratio(tempo),
         "semantic_consistency": _ratio(sem),
@@ -174,11 +169,10 @@ def semantic_consistency(corpus, checkpoint: Checkpoint, tau_eval=0.5,
 def _semantic(records, checkpoint: Checkpoint, params, tau_eval) -> float | None:
     """Localise each record's concatenated sentence pairs."""
     max_concat = checkpoint.config.get("max_concat_len", TrainConfig.max_concat_len)
-    return _ratio([_hull_consistent(res.seconds, a.gt_segment, b.gt_segment, tau_eval)
-                   for (a, b), res in _localized(
-                       records, checkpoint, params,
-                       lambda rec: [((a, b), concat_queries(a, b, max_concat))
-                                    for a, b in combinations(rec.paragraph, 2)])])
+    return _ratio([iou(res.seconds, hull(*gts)) > tau_eval for gts, res in _localized(
+        records, checkpoint, params, lambda rec: [
+            ((gt_a, gt_b), concat_queries(rec.paragraph[a], rec.paragraph[b], max_concat))
+            for _, a, b, gt_a, gt_b in _sentence_pairs(_ground_truth([rec]))])])
 
 
 def count_pairs(records) -> int:

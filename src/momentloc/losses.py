@@ -77,9 +77,7 @@ def video_score(scores) -> Tensor:
     """Video-level matching probability: the max over the last axis of the
     proposal scores, 0-d for one (L_s,) row and (pairs,) for stacked
     (pairs, L_s) scores. A tie routes the gradient to the first arg-max."""
-    t = _scores_tensor(scores)
-    best = ad.max_rows(ad.reshape(t, t.shape + (1,)))
-    return ad.reshape(best, t.shape[:-1])
+    return ad.max_rows(_scores_tensor(scores))
 
 
 def bce_loss(p_pos, p_neg_q, p_neg_v) -> Tensor:
@@ -137,24 +135,19 @@ def temporal_partition(joint, grid: ProposalGrid, j, j_prime) -> TemporalPartiti
     return TemporalPartition(values, grid.order_matrix() == order, tensor)
 
 
-def _max_over(rows: Tensor, mask: np.ndarray) -> Tensor:
-    """Per-row max of a 2-D tensor over the True entries of ``mask``."""
-    return ad.max_rows(ad.transpose(rows), mask.T)
-
-
 def _contrast_sum(rows: Tensor, pos_mask: np.ndarray, neg_mask: np.ndarray) -> Tensor:
     """Sum over rows of -log(max positive) - log(1 - max negative).
 
     ``rows`` is a 2-D tensor of probabilities; a row with no negative entry
     contributes its first term only.
     """
-    loss = ad.sum_all(ad.neg_log(_max_over(rows, pos_mask), EPS))
+    loss = ad.sum_all(ad.neg_log(ad.max_rows(rows, pos_mask), EPS))
     has_neg = neg_mask.any(axis=1)
     if has_neg.any():
         keep = np.flatnonzero(has_neg)
         if len(keep) < len(has_neg):
             rows, neg_mask = ad.pick(rows, keep), neg_mask[keep]
-        worst = _max_over(rows, neg_mask)
+        worst = ad.max_rows(rows, neg_mask)
         loss = ad.add(loss, ad.sum_all(ad.neg_log(worst, EPS, complement=True)))
     return loss
 

@@ -307,7 +307,7 @@ def match_pairs(pairs, params, grid_config: GridConfig) -> MatchScores:
     """
     params = lift(params)
     props, q, word_mask, grid = _encode_t(list(pairs), params, grid_config)
-    sent = ad.max_rows(q, word_mask[:, :, None])
+    sent = ad.max_rows(ad.transpose(q), word_mask[:, None, :])
     scores = _score_t(_fuse_rows_t(props, sent, params), params)
     return MatchScores(scores.value.copy(), grid, scores)
 

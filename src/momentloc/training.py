@@ -24,7 +24,6 @@ from .data import atomic_write
 from .errors import DataError, TrainingDivergedError, require
 from .losses import BatchItem, LossConfig, NegativeSample, total_loss
 from .network import (
-    _ATTENTION_KEYS,
     ModelParams,
     _param_table,
     init_params,
@@ -311,13 +310,15 @@ def load_checkpoint(path) -> Checkpoint:
         fields = [manifest[k] for k in ("epoch", "rng_digest", "metrics_csv", "order_consistency")]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed checkpoint manifest ({exc!r})") from None
-    # Count before building the table: a depth read from the file may be huge.
-    units = depth_self + depth_cross
-    model_count = len(_param_table(d, 0, 0, 0, 0)) + 2 * len(_ATTENTION_KEYS) * units
-    if len(tensors) != model_count:
-        raise DataError(f"{path}: manifest lists {len(tensors)} tensors, "
-                        f"the model has {model_count}")
+    # A depth read from the file may be huge. Each attention unit holds tensors
+    # of its own, so bound the depths by the tensor count before the table.
+    if depth_self + depth_cross > len(tensors):
+        raise DataError(f"{path}: manifest lists {len(tensors)} tensors, fewer than "
+                        f"the model's {depth_self + depth_cross} attention units")
     table = dict(_param_table(d, config["d_v"], config["d_t"], depth_self, depth_cross))
+    if len(tensors) != len(table):
+        raise DataError(f"{path}: manifest lists {len(tensors)} tensors, "
+                        f"the model has {len(table)}")
     names = [name for name, _ in tensors]
     if sorted(names) != sorted(table):
         raise DataError(f"{path}: manifest tensors differ from the model's at "

@@ -170,17 +170,17 @@ class TestReductions:
         assert leaf.grad[0, 0] != 0.0 and leaf.grad[1, 0] == 0.0
 
     def test_max_rows(self):
-        x = RNG.normal(size=(4, 3))
+        x = RNG.normal(size=(4, 3)).T
         out = ad.max_rows(ad.constant(x))
-        assert np.allclose(out.value, x.max(axis=0))
+        assert np.allclose(out.value, x.max(axis=1))
         check_op(lambda t: total(ad.max_rows(t)), x)
 
     def test_masked_max(self):
         # only True entries compete, and only they receive gradient
-        y = RNG.normal(size=(3, 2))
-        mask = np.array([[True, False], [False, False], [True, True]])
+        y = RNG.normal(size=(3, 2)).T
+        mask = np.array([[True, False], [False, False], [True, True]]).T
         out = ad.max_rows(ad.constant(y), mask)
-        assert np.array_equal(out.value, [y[mask[:, 0], 0].max(), y[2, 1]])
+        assert np.array_equal(out.value, [y[0, mask[0]].max(), y[1, 2]])
         check_op(lambda t: total(ad.max_rows(t, mask)), y)
 
     def test_masked_max_empty(self):
@@ -239,13 +239,13 @@ class TestStacked:
         check_op(lambda t: total(ad.segment_max(t, segs)), x)
 
     def test_max_rows_masked(self):
-        x = RNG.normal(size=(2, 4, 3))
-        mask = np.array([[True, True, False, False], [True, False, False, False]])[:, :, None]
+        x = RNG.normal(size=(2, 4, 3)).swapaxes(1, 2)
+        mask = np.array([[True, True, False, False], [True, False, False, False]])[:, None, :]
         out = ad.max_rows(ad.constant(x), mask).value
-        assert np.array_equal(out, np.stack([x[0, :2].max(axis=0), x[1, 0]]))
+        assert np.array_equal(out, np.stack([x[0, :, :2].max(axis=1), x[1, :, 0]]))
         check_op(lambda t: total(ad.max_rows(t, mask)), x)
         with pytest.raises(ValueError):
-            ad.max_rows(ad.constant(x), np.zeros((2, 4, 1), dtype=bool))
+            ad.max_rows(ad.constant(x), np.zeros((2, 1, 4), dtype=bool))
 
     def test_pick_gathers_rows_with_repeats(self):
         x = RNG.normal(size=(3, 2, 2))
@@ -331,8 +331,8 @@ OP_CASES = {
     "softmax_rows/stacked": lambda: ad.softmax_rows(
         _arr(2, 3, 4), np.array([[[True, False, True, True]], [[False, True, True, False]]])),
     "segment_max/stacked": lambda: ad.segment_max(_arr(2, 6, 3), [(0, 2), (1, 5), (4, 6)]),
-    "max_rows/stacked": lambda: ad.max_rows(_arr(2, 4, 3), np.array(
-        [[True, True, False, True], [True, False, False, False]])[:, :, None]),
+    "max_rows/stacked": lambda: ad.max_rows(_arr(2, 3, 4), np.array(
+        [[True, True, False, True], [True, False, False, False]])[:, None, :]),
     "pick/gather": lambda: ad.pick(_arr(3, 2, 4), np.array([1, 1, 0, 2])),
 }
 
@@ -377,9 +377,9 @@ class TestOpContract:
         # the one-pair case of the stacked forward: three gathers (proposals,
         # words, the score row) over the tape of a single-pair forward, whose
         # classifier is folded into the proposal attention's value path
-        assert len(nodes) == 133
+        assert len(nodes) == 134
         assert Counter(op_name(n) for n in nodes) == {
-            "leaf": 36, "matmul": 31, "transpose": 23, "add": 16, "scale": 5,
+            "leaf": 36, "matmul": 31, "transpose": 24, "add": 16, "scale": 5,
             "softmax_rows": 5, "pick": 3, "concat_cols": 2, "matvec": 5, "max_rows": 1,
             "mul": 1, "reshape": 3, "segment_max": 1, "sigmoid": 1,
         }
@@ -392,10 +392,10 @@ class TestOpContract:
         params = lift(init_params(16, 16, 16, 1, 1, rng))
         batch = sample_batch(records, 32, rng)
         nodes = tape_nodes(total_loss(batch, params, LossConfig(grid=SYNTH_GRID)).total)
-        assert len(nodes) == 175
+        assert len(nodes) == 170
         assert Counter(op_name(n) for n in nodes) == {
-            "leaf": 36, "matmul": 32, "transpose": 27, "add": 22, "scale": 9, "pick": 8,
-            "reshape": 8, "neg_log": 7, "max_rows": 6, "sum_all": 5, "matvec": 5,
+            "leaf": 36, "matmul": 32, "transpose": 24, "add": 22, "scale": 9, "pick": 8,
+            "reshape": 6, "neg_log": 7, "max_rows": 6, "sum_all": 5, "matvec": 5,
             "softmax_rows": 5, "concat_cols": 2, "sigmoid": 1, "segment_max": 1, "mul": 1,
         }
 

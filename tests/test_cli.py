@@ -23,7 +23,8 @@ from momentloc import (
 )
 from momentloc.cli import main
 
-from helpers import tiny_params, transpose_in_manifest
+from helpers import one_hot_table, tiny_params, transpose_in_manifest
+from test_input_mutation import JSON_VALUES
 
 RUN_INI = """\
 [data]
@@ -521,6 +522,42 @@ class TestAnalyzeCommand:
     def test_missing_predictions_file(self, pair_annotations, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "no.tsv"), pair_annotations]) == 2
         capsys.readouterr()
+
+    def test_repeated_prediction_exits_two_naming_both_lines(self, pair_annotations, tmp_path,
+                                                              capsys):
+        preds = tmp_path / "preds.tsv"
+        write_predictions(preds, [("v1", 0, 0.0, 10.0), ("v1", 1, 10.0, 20.0),
+                                  ("v1", 0, 15.0, 20.0)])  # lines 3, 4 and 5
+        assert main(["analyze", str(preds), pair_annotations]) == 2
+        err = capsys.readouterr().err
+        assert "preds.tsv:5:" in err and "line 3" in err
+
+    # The values the input-mutation gate writes into the annotations, then a
+    # string and an object that unpack into two values, and two lists that
+    # are pairs but not of numbers in order.
+    @pytest.mark.parametrize("bad", JSON_VALUES + ("12", {"0": 1, "5": 2}, [1, "x"], [5, 2]),
+                             ids=repr)
+    def test_loader_and_analyze_read_timestamps_alike(self, tmp_path, capsys, bad):
+        doc = {vid: {"duration": 30.0, "timestamps": [[0.0, 10.0], [10.0, 20.0]],
+                     "sentences": ["first act", "second act"]} for vid in ("bad", "good")}
+        doc["bad"]["timestamps"][1] = bad
+        annotations = tmp_path / "annotations.json"
+        write_annotations(annotations, doc)
+        for vid in doc:
+            write_features(tmp_path / f"{vid}.crmf", np.ones((8, 2), np.float32))
+        result = load_corpus(annotations, tmp_path, one_hot_table(["first", "second", "act"]),
+                             DataConfig(l_c=4, pool_span=1))
+        assert [vid for vid, _ in result.skipped] == ["bad"]
+        reason = result.skipped[0][1]
+        preds = tmp_path / "preds.tsv"
+        write_predictions(preds, [("good", 0, 0.0, 10.0), ("good", 1, 10.0, 20.0)])
+        assert main(["analyze", str(preds), str(annotations)]) == 2
+        err = capsys.readouterr().err
+        if reason.endswith(("is not a [start, end] pair", "is not a pair of numbers")):
+            assert reason in err
+        else:  # analyze reads the same rule without the duration bound
+            assert reason.endswith("outside [0, 30.0]") and bad[1] <= bad[0]
+            assert reason.replace("30.0]", "inf]") in err
 
 
 def spoil(path):
