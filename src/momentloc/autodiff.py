@@ -9,8 +9,8 @@ same ops as a single pair's ``(rows, dim)`` matrices. A 2-D right operand
 of ``matmul`` is a weight shared by the batch; its gradient is one GEMM over
 the batch's rows reshaped into one matrix. The gather op ``pick`` selects
 rows along the first axis (one index, or an index array with repeats) and
-scatters its gradient back with ``np.add.at``, which is how a batch reuses
-one video's encoding in several pairs.
+adds its gradient back row by row in index order, which is how a batch
+reuses one video's encoding in several pairs.
 
 The op contract. An op computes its forward value and returns
 ``Tensor(value, parents, backward)``. ``backward(g)`` takes the gradient of
@@ -152,6 +152,18 @@ def reshape(a, shape) -> Tensor:
     return Tensor(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
+def slice_cols(a, start: int, stop: int) -> Tensor:
+    """Columns ``start:stop`` of the last axis, as a view of ``a``'s value."""
+    a = as_tensor(a)
+
+    def backward(g):
+        ga = np.zeros_like(a.value)
+        ga[..., start:stop] = g
+        return (ga,)
+
+    return Tensor(a.value[..., start:stop], (a,), backward)
+
+
 def concat_cols(parts) -> Tensor:
     """Concatenation along the last axis of blocks with equal leading shapes."""
     parts = tuple(as_tensor(p) for p in parts)
@@ -271,15 +283,19 @@ def pick(a, index) -> Tensor:
     """Gather along the first axis: ``a[index]``.
 
     An int selects one entry (a 0-d scalar from a vector); an int array
-    gathers entries, repeats allowed. The gradient is scattered back with
-    ``np.add.at``, so a repeated entry sums its gradients.
+    gathers entries, repeats allowed. The gradient is added back row by row
+    in index order, so a repeated entry sums its gradients in that order.
     """
     a = as_tensor(a)
     x = a.value
 
     def backward(g):
         ga = np.zeros_like(x)
-        np.add.at(ga, index, g)
+        if np.ndim(index) == 0:
+            ga[index] = g
+        else:
+            for i, j in enumerate(index):
+                ga[j] += g[i]
         return (ga,)
 
     return Tensor(np.asarray(x[index]), (a,), backward)

@@ -341,7 +341,8 @@ class CorpusLoadResult:
 
 def read_timestamps(vid, entry, duration=math.inf) -> list:
     """An entry's ``timestamps`` as Segments (seconds); DataError unless each
-    is a [start, end] list of numbers with 0 <= start < end <= duration."""
+    is a [start, end] list of finite JSON numbers (not strings or booleans)
+    with 0 <= start < end <= duration."""
     timestamps = entry.get("timestamps") if isinstance(entry, dict) else None
     if not isinstance(timestamps, list):
         raise DataError(f"{vid}: timestamps missing or not a list")
@@ -350,9 +351,11 @@ def read_timestamps(vid, entry, duration=math.inf) -> list:
         if not (isinstance(ts, list) and len(ts) == 2):
             raise DataError(f"{vid}: timestamp {ts!r} is not a [start, end] pair")
         try:
-            s, e = float(ts[0]), float(ts[1])
-        except (TypeError, ValueError, OverflowError):
-            raise DataError(f"{vid}: timestamp {ts!r} is not a pair of numbers") from None
+            s, e = (float(x) for x in ts if isinstance(x, (int, float)) and not isinstance(x, bool))
+        except (ValueError, OverflowError):  # not two numbers, or an int past float range
+            s = e = math.nan
+        if not (math.isfinite(s) and math.isfinite(e)):
+            raise DataError(f"{vid}: timestamp {ts!r} is not a pair of numbers")
         if not (0 <= s < e <= duration):
             raise DataError(f"{vid}: timestamp [{s}, {e}] outside [0, {duration}]")
         segments.append(Segment(s, e))

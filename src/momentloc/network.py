@@ -10,8 +10,28 @@ serves evaluation and training.
 
 ``params`` may be arrays or a lifted mapping (:func:`lift`): the tape form
 of the parameters, which holds the products of parameters alone (each
-attention unit's W_q^T W_k and the classifier fold), so that they go on the
-tape once per parameter set.
+encoder attention unit's W_q^T W_k and the folded head below), so that they
+go on the tape once per parameter set.
+
+The head never builds the 3d-wide fused rows. For one pair let S be its
+proposal rows (rows x d) after cross-attention and q its sentence vector.
+The paper's fused rows F = (S+q) || S*q || FC(S||q) are affine in the
+2d-wide rows Z = [S, S*q]: with fusion.w = [W_s | W_t] and b_f = fusion.b,
+
+    F = Z K + 1 r^T,  K = [[I, 0, W_s^T], [0, I, 0]] (2d x 3d),
+                      r = [q, 0, W_t q + b_f].
+
+The proposal attention's logits F qk F^T / sqrt(3d), qk = W_q^T W_k, are
+then (Z B + 1 w^T) Z^T / sqrt(3d) plus terms constant along each row,
+which the row softmax cancels; here B = K qk K^T (2d x 2d) and
+w = K qk^T r = E q + e, with E (2d x d) and e (2d) products of parameters
+alone. The classifier on the attention output, c . FC(F + A F W_v^T) + b,
+is linear: with u = fc_w^T c, v = W_v^T u and the rows of A summing to 1
+it is Z (K u) + A Z (K v) + r . (u + v) + fc_b . c + b, and
+r . x = q . (x_1 + W_t^T x_3) + b_f . x_3 for x = u + v in thirds
+x_1, x_2, x_3. So :func:`lift` gives B, E, e, K u, K v,
+rho = x_1 + W_t^T x_3 and beta = b_f . x_3 + fc_b . c + b, and each pair
+costs a (rows, 2d) @ (2d, 2d) and a (rows, 2d) @ (2d, rows) product.
 """
 
 from __future__ import annotations
@@ -97,33 +117,62 @@ def _query_key(w_q, w_k) -> Tensor:
     return ad.matmul(ad.transpose(w_q), w_k)
 
 
+def _fold_head(p) -> dict:
+    """The head's products of parameters alone (module docstring): B, E, e,
+    K u, K v, rho and beta, from the lifted leaves ``p``."""
+    d = p["fusion.b"].shape[0]
+
+    def thirds(x):  # the d-wide column blocks of x
+        return [ad.slice_cols(x, i * d, (i + 1) * d) for i in range(x.shape[-1] // d)]
+
+    w_s, w_t = thirds(p["fusion.w"])
+    q_1, q_2, q_3 = thirds(p["proposal_attn.w_q"])
+    k_1, k_2, k_3 = thirds(p["proposal_attn.w_k"])
+    # W_q K^T and W_k K^T, so that B = (W_q K^T)^T (W_k K^T); K qk^T = K W_k^T W_q
+    # carries r = R q + [0, 0, b_f], R = [I; 0; W_t], into E and e.
+    query = ad.concat_cols([ad.add(q_1, ad.matmul(q_3, w_s)), q_2])
+    key = ad.concat_cols([ad.add(k_1, ad.matmul(k_3, w_s)), k_2])
+    key_t = ad.transpose(key)
+
+    c = p["classifier.w"]
+    u = ad.matvec(ad.transpose(p["proposal_attn.fc_w"]), c)
+    v = ad.matvec(ad.transpose(p["proposal_attn.w_v"]), u)
+    (u_1, u_2, u_3), (v_1, v_2, v_3) = thirds(u), thirds(v)
+    x_3 = ad.add(u_3, v_3)
+    return {
+        "head.B": ad.matmul(ad.transpose(query), key),
+        "head.E": ad.matmul(key_t, ad.add(q_1, ad.matmul(q_3, w_t))),
+        "head.e": ad.matvec(key_t, ad.matvec(q_3, p["fusion.b"])),
+        "head.Ku": ad.concat_cols([ad.add(u_1, ad.matvec(ad.transpose(w_s), u_3)), u_2]),
+        "head.Kv": ad.concat_cols([ad.add(v_1, ad.matvec(ad.transpose(w_s), v_3)), v_2]),
+        "head.rho": ad.add(ad.add(u_1, v_1), ad.matvec(ad.transpose(w_t), x_3)),
+        "head.beta": ad.add(ad.add(ad.matvec(p["fusion.b"], x_3),
+                                   ad.matvec(p["proposal_attn.fc_b"], c)), p["classifier.b"]),
+    }
+
+
 def lift(params) -> ModelParams:
     """The tape form of ``params`` (float32 or float64 arrays): every tensor
     as a leaf of its own dtype under its own name, plus the products of
-    parameters alone: ``{unit}.qk`` of every attention unit and
-    ``classifier.u``, ``.v`` and ``.bias`` of :func:`_score_t`. A backward
-    pass leaves the gradients on :attr:`ModelParams.leaves`. A lifted
-    mapping is returned unchanged."""
-    if "classifier.u" in params:  # a product: only lift adds one
+    parameters alone: ``{unit}.qk`` of every encoder attention unit and the
+    folded head's ``head.B``, ``.E``, ``.e``, ``.Ku``, ``.Kv``, ``.rho`` and
+    ``.beta`` (module docstring). A backward pass leaves the gradients on
+    :attr:`ModelParams.leaves`. A lifted mapping is returned unchanged."""
+    if "head.B" in params:  # a product: only lift adds one
         return params
     p = ModelParams((name, ad.constant(arr)) for name, arr in params.items())
-    for prefix in [name[: -len(".w_q")] for name in p if name.endswith(".w_q")]:
+    for prefix in [name[: -len(".w_q")] for name in p
+                   if name.endswith(".w_q") and name != "proposal_attn.w_q"]:
         p[f"{prefix}.qk"] = _query_key(p[f"{prefix}.w_q"], p[f"{prefix}.w_k"])
-    c = p["classifier.w"]
-    p["classifier.u"] = ad.matvec(ad.transpose(p["proposal_attn.fc_w"]), c)
-    p["classifier.v"] = ad.matvec(ad.transpose(p["proposal_attn.w_v"]), p["classifier.u"])
-    p["classifier.bias"] = ad.add(ad.matvec(p["proposal_attn.fc_b"], c), p["classifier.b"])
+    p.update(_fold_head(p))
     return p
-
-
-def _unit(p, prefix: str) -> dict:
-    return {k: p[f"{prefix}.{k}"] for k in _ATTENTION_KEYS + ("qk",)}
 
 
 def _stack(p, stack: str) -> list:
     units = []
     while f"{stack}.{len(units)}.w_q" in p:
-        units.append(_unit(p, f"{stack}.{len(units)}"))
+        prefix = f"{stack}.{len(units)}"
+        units.append({k: p[f"{prefix}.{k}"] for k in _ATTENTION_KEYS + ("qk",)})
     return units
 
 
@@ -152,23 +201,17 @@ class LocalizeResult:
     proposal_index: int
 
 
-def _weights(target, reference, unit, mask=None) -> Tensor:
-    """Attention weights A on the tape: the row softmax of (target . qk) .
-    reference^T scaled by 1/sqrt(dim), where qk = W_q^T W_k is the unit's
-    folded query-key matrix (:func:`lift`); masked reference columns get
-    exactly zero weight."""
-    logits = ad.matmul(ad.matmul(target, unit["qk"]), ad.transpose(reference))
-    return ad.softmax_rows(ad.scale(logits, 1.0 / np.sqrt(unit["qk"].shape[0])), mask)
-
-
 def _attend(target, reference, unit, mask=None) -> tuple:
     """One attention unit on the tape; returns (output, weights) tensors.
 
     ``unit`` maps the five keys w_q, w_k, w_v, fc_w, fc_b and the folded
-    qk to tensors. The weights A are those of :func:`_weights`; the output
-    is FC(target + A . reference . W_v^T).
+    qk = W_q^T W_k (:func:`lift`) to tensors. The weights A are the row
+    softmax of (target . qk) . reference^T scaled by 1/sqrt(dim), masked
+    reference columns getting exactly zero weight; the output is
+    FC(target + A . reference . W_v^T).
     """
-    weights = _weights(target, reference, unit, mask)
+    logits = ad.matmul(ad.matmul(target, unit["qk"]), ad.transpose(reference))
+    weights = ad.softmax_rows(ad.scale(logits, 1.0 / np.sqrt(unit["qk"].shape[0])), mask)
     context = ad.matmul(weights, ad.matmul(reference, ad.transpose(unit["w_v"])))
     out = ad.add(ad.matmul(ad.add(target, context), ad.transpose(unit["fc_w"])), unit["fc_b"])
     return out, weights
@@ -259,41 +302,21 @@ def encode(video, query, params, grid_config: GridConfig):
     return props.value[0], q.value[0]
 
 
-def _fuse_rows_t(props: Tensor, sent: Tensor, p) -> Tensor:
-    """Per-proposal fusion with the sentence vector: (S+Q) || S*Q || FC(S||Q).
-
-    ``props`` is (..., rows, D) and ``sent`` (..., D), one sentence vector
-    per leading index.
-    """
-    n_rows, d = props.shape[-2:]
-    zeros = ad.constant(np.zeros((n_rows, 1), props.value.dtype))
-    q_mat = ad.add(zeros, ad.reshape(sent, sent.shape[:-1] + (1, d)))
-    both = ad.concat_cols([props, q_mat])
-    return ad.concat_cols([
-        ad.add(props, q_mat),
-        ad.mul(props, q_mat),
-        _affine(both, p["fusion.w"], p["fusion.b"]),
-    ])
-
-
-def _score_t(fused: Tensor, p) -> Tensor:
-    """Proposal self-attention and the sigmoid linear classifier, with the
-    classifier folded into the attention's value path.
-
-    With F the fused rows, A their attention weights (:func:`_weights`),
-    c = classifier.w and b = classifier.b, the classifier logits of the
-    attention output, FC(F + A F W_v^T) . c + b, equal
-
-        F u + A (F v) + (fc_b . c + b),  where u = fc_w^T c and v = W_v^T u.
-
-    The W_v and fc products of the rows become matrix-vector products, and
-    only A is computed as in any attention unit. ``p`` is lifted
-    (:func:`lift`), so u, v and the bias come computed.
-    """
-    weights = _weights(fused, fused, _unit(p, "proposal_attn"))
-    fv = ad.matvec(fused, p["classifier.v"])
-    context = ad.reshape(ad.matmul(weights, ad.reshape(fv, fv.shape + (1,))), fv.shape)
-    logits = ad.add(ad.add(ad.matvec(fused, p["classifier.u"]), context), p["classifier.bias"])
+def _head_t(props: Tensor, sent: Tensor, p) -> Tensor:
+    """Proposal self-attention and the sigmoid classifier over the fused
+    rows, computed from Z = [S, S*q] with the lifted head (module
+    docstring). ``props`` is (pairs, rows, D) and ``sent`` (pairs, D)."""
+    q = ad.reshape(sent, sent.shape[:-1] + (1, sent.shape[-1]))
+    z = ad.concat_cols([props, ad.mul(props, q)])
+    w = ad.add(ad.matmul(q, ad.transpose(p["head.E"])), p["head.e"])  # (pairs, 1, 2d)
+    attn_logits = ad.matmul(ad.add(ad.matmul(z, p["head.B"]), w), ad.transpose(z))
+    weights = ad.softmax_rows(
+        ad.scale(attn_logits, 1.0 / np.sqrt(p["proposal_attn.w_q"].shape[0])))
+    zv = ad.matvec(z, p["head.Kv"])
+    context = ad.reshape(ad.matmul(weights, ad.reshape(zv, zv.shape + (1,))), zv.shape)
+    sentence = ad.add(ad.matvec(sent, p["head.rho"]), p["head.beta"])
+    logits = ad.add(ad.add(ad.matvec(z, p["head.Ku"]), context),
+                    ad.reshape(sentence, sentence.shape + (1,)))
     return ad.sigmoid(logits)
 
 
@@ -308,7 +331,7 @@ def match_pairs(pairs, params, grid_config: GridConfig) -> MatchScores:
     params = lift(params)
     props, q, word_mask, grid = _encode_t(list(pairs), params, grid_config)
     sent = ad.max_rows(ad.transpose(q), word_mask[:, None, :])
-    scores = _score_t(_fuse_rows_t(props, sent, params), params)
+    scores = _head_t(props, sent, params)
     return MatchScores(scores.value.copy(), grid, scores)
 
 

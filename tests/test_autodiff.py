@@ -130,6 +130,13 @@ class TestLinear:
                  RNG.normal(size=(3, 2)))
 
 
+    def test_slice_cols(self):
+        x = RNG.normal(size=(3, 6))
+        assert np.array_equal(ad.slice_cols(ad.constant(x), 2, 5).value, x[:, 2:5])
+        check_op(lambda t: total(ad.slice_cols(t, 2, 5)), x)
+        check_op(lambda t: total(ad.slice_cols(t, 0, 2)), RNG.normal(size=4))
+
+
 class TestReductions:
     def test_softmax_rows_values(self):
         x = RNG.normal(size=(4, 5))
@@ -218,6 +225,8 @@ class TestStacked:
         check_op(lambda t: total(ad.transpose(t)), x)
         b = RNG.normal(size=(2, 3, 1))
         check_op(lambda t: total(ad.concat_cols([t, ad.constant(b)])), x)
+        assert np.array_equal(ad.slice_cols(ad.constant(x), 1, 3).value[1], x[1][:, 1:3])
+        check_op(lambda t: total(ad.slice_cols(t, 1, 3)), x)
 
     def test_softmax_mask_per_batch_entry(self):
         x = RNG.normal(size=(2, 3, 4))
@@ -313,6 +322,7 @@ OP_CASES = {
     "transpose": lambda: ad.transpose(_arr(2, 5)),
     "reshape": lambda: ad.reshape(_arr(2, 5), (10,)),
     "concat_cols": lambda: ad.concat_cols([_arr(3, 2), _arr(3, 1), _arr(3, 4)]),
+    "slice_cols": lambda: ad.slice_cols(_arr(3, 6), 2, 5),
     "sigmoid": lambda: ad.sigmoid(_arr(2, 3)),
     "neg_log": lambda: ad.neg_log(ad.constant(RNG.uniform(0.05, 0.95, size=(2, 3))), 1e-7),
     "neg_log/complement": lambda: ad.neg_log(_arr(4), 0.25, complement=True),
@@ -328,6 +338,8 @@ OP_CASES = {
     "matvec/dot": lambda: ad.matvec(_arr(4), _arr(4)),
     "transpose/stacked": lambda: ad.transpose(_arr(2, 3, 5)),
     "concat_cols/stacked": lambda: ad.concat_cols([_arr(2, 3, 2), _arr(2, 3, 1)]),
+    "slice_cols/stacked": lambda: ad.slice_cols(_arr(2, 3, 6), 0, 4),
+    "slice_cols/vector": lambda: ad.slice_cols(_arr(6), 4, 6),
     "softmax_rows/stacked": lambda: ad.softmax_rows(
         _arr(2, 3, 4), np.array([[[True, False, True, True]], [[False, True, True, False]]])),
     "segment_max/stacked": lambda: ad.segment_max(_arr(2, 6, 3), [(0, 2), (1, 5), (4, 6)]),
@@ -376,12 +388,13 @@ class TestOpContract:
         nodes = tape_nodes(match(record, record.paragraph[0], params, SYNTH_GRID).tensor)
         # the one-pair case of the stacked forward: three gathers (proposals,
         # words, the score row) over the tape of a single-pair forward, whose
-        # classifier is folded into the proposal attention's value path
-        assert len(nodes) == 134
+        # head scores the rows [S, S*q] with lift's folded products (57 of
+        # the nodes, 14 of them column slices); no fused row is built
+        assert len(nodes) == 175
         assert Counter(op_name(n) for n in nodes) == {
-            "leaf": 36, "matmul": 31, "transpose": 24, "add": 16, "scale": 5,
-            "softmax_rows": 5, "pick": 3, "concat_cols": 2, "matvec": 5, "max_rows": 1,
-            "mul": 1, "reshape": 3, "segment_max": 1, "sigmoid": 1,
+            "leaf": 35, "matmul": 35, "transpose": 28, "add": 25, "slice_cols": 14,
+            "matvec": 12, "softmax_rows": 5, "scale": 5, "concat_cols": 5, "reshape": 4,
+            "pick": 3, "sigmoid": 1, "max_rows": 1, "segment_max": 1, "mul": 1,
         }
 
     def test_total_loss_tape_node_counts(self):
@@ -392,11 +405,11 @@ class TestOpContract:
         params = lift(init_params(16, 16, 16, 1, 1, rng))
         batch = sample_batch(records, 32, rng)
         nodes = tape_nodes(total_loss(batch, params, LossConfig(grid=SYNTH_GRID)).total)
-        assert len(nodes) == 170
+        assert len(nodes) == 211
         assert Counter(op_name(n) for n in nodes) == {
-            "leaf": 36, "matmul": 32, "transpose": 24, "add": 22, "scale": 9, "pick": 8,
-            "reshape": 6, "neg_log": 7, "max_rows": 6, "sum_all": 5, "matvec": 5,
-            "softmax_rows": 5, "concat_cols": 2, "sigmoid": 1, "segment_max": 1, "mul": 1,
+            "leaf": 35, "matmul": 36, "transpose": 28, "add": 31, "slice_cols": 14, "scale": 9,
+            "pick": 8, "reshape": 7, "neg_log": 7, "max_rows": 6, "sum_all": 5, "matvec": 12,
+            "softmax_rows": 5, "concat_cols": 5, "sigmoid": 1, "segment_max": 1, "mul": 1,
         }
 
 

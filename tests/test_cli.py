@@ -533,9 +533,11 @@ class TestAnalyzeCommand:
         assert "preds.tsv:5:" in err and "line 3" in err
 
     # The values the input-mutation gate writes into the annotations, then a
-    # string and an object that unpack into two values, and two lists that
-    # are pairs but not of numbers in order.
-    @pytest.mark.parametrize("bad", JSON_VALUES + ("12", {"0": 1, "5": 2}, [1, "x"], [5, 2]),
+    # string and an object that unpack into two values, and lists that are
+    # pairs but not of numbers in order: numeric strings, a boolean and an
+    # infinite end (which analyze, with no duration bound, must reject too).
+    @pytest.mark.parametrize("bad", JSON_VALUES + ("12", {"0": 1, "5": 2}, [1, "x"], [5, 2],
+                                                   ["1", "5"], [True, 5], [0, float("inf")]),
                              ids=repr)
     def test_loader_and_analyze_read_timestamps_alike(self, tmp_path, capsys, bad):
         doc = {vid: {"duration": 30.0, "timestamps": [[0.0, 10.0], [10.0, 20.0]],

@@ -29,7 +29,7 @@ from momentloc import (
     write_features,
 )
 from momentloc import data as data_module
-from momentloc.data import SPLITS
+from momentloc.data import SPLITS, read_timestamps
 
 
 def brute_force_clips(frames, l_c, pool_span):
@@ -257,7 +257,9 @@ class TestLoadCorpus:
         assert result.skip_count == 1
         assert result.skipped[0][0] == "bad"
 
-    @pytest.mark.parametrize("bad", [["a", 5], [None, 5], [[1], 5], [10**400, 5]])
+    @pytest.mark.parametrize("bad", [["a", 5], [None, 5], [[1], 5], [10**400, 5], ["1", "5"],
+                                     [True, 5], [1, False], [0, float("inf")],
+                                     [float("nan"), 5], [float("-inf"), 5]])
     def test_non_numeric_timestamp_skipped(self, tmp_path, bad):
         entries = {
             "bad": {"duration": 10.0, "timestamps": [bad], "sentences": ["a man runs"]},
@@ -314,6 +316,12 @@ class TestLoadCorpus:
         assert result.skipped == tuple(
             (vid, f"{vid}: feature width {w} differs from the corpus's {keep}")
             for vid, w in widths.items() if vid not in kept)
+
+    @pytest.mark.parametrize("bad", [["1", "5"], [True, 5], [0, float("inf")]])
+    def test_unbounded_rule_rejects_non_numbers(self, bad):
+        # analyze reads the rule with no duration bound
+        with pytest.raises(DataError, match="is not a pair of numbers"):
+            read_timestamps("v", {"timestamps": [[0, 1], bad]})
 
     def test_timestamp_outside_duration_skipped(self, tmp_path):
         entries = {"v": {"duration": 5.0, "timestamps": [[0, 9]], "sentences": ["man runs"]}}

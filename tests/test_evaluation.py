@@ -329,20 +329,25 @@ class TestBatchedEval:
         assert sizes == [1, 2, 5, 1, 5, 5]
 
     def test_one_query_key_fold_per_evaluate(self, ragged, monkeypatch):
-        # The only products of two matrices are the folds W_q^T W_k of
-        # lift (every forward's rows carry a pair axis): one per unit,
-        # four of width d = 6 and the proposal attention's of width 3d,
-        # shared by all six forwards of the three videos.
+        # The only products of two matrices are lift's, shared by all six
+        # forwards of the three videos: the folds W_q^T W_k of the four
+        # units of width d = 6, and the head's W_q K^T and W_k K^T halves
+        # (3d x d), W_q R (3d x d), B (2d x 2d) and E (2d x d). Every
+        # forward's products carry a pair axis, and none of them contracts
+        # over or yields 3d = 18 columns: the fused rows are never built.
         records, ckpt = ragged
-        shapes = []
+        shapes, stacked = [], []
         real = ad.matmul
 
         def spy(a, b):
             out = real(a, b)
             if out.value.ndim == 2:
                 shapes.append(out.shape)
+            else:
+                stacked.append((a.shape[-1], b.shape[-1]))
             return out
 
         monkeypatch.setattr(ad, "matmul", spy)
         evaluate(records, ckpt, (0.5,))
-        assert Counter(shapes) == {(6, 6): 4, (18, 18): 1}
+        assert Counter(shapes) == {(6, 6): 4, (18, 6): 3, (12, 12): 1, (12, 6): 1}
+        assert stacked and all(18 not in widths for widths in stacked)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_record, scalar_attention_oracle, tiny_params, token_seq
+from helpers import make_record, scalar_attention_oracle, token_seq
 import momentloc
 from momentloc import (
     DataError,
@@ -24,7 +24,6 @@ from momentloc import (
 )
 from momentloc import autodiff as ad
 from momentloc.losses import concat_queries
-from momentloc.network import _fuse_rows_t
 
 GRID = GridConfig((2, 4), 2)
 
@@ -253,40 +252,6 @@ class TestPoolSentence:
             token_seq(np.zeros((0, 2)))
 
 
-class TestFuse:
-    """The fusion stage of match_pairs: (S+Q) || S*Q || FC(S||Q) per proposal row."""
-
-    @staticmethod
-    def fuse(props, sent, params):
-        return _fuse_rows_t(ad.constant(props), ad.constant(sent), params).value
-
-    def test_zero_inputs_zero_output(self):
-        params = tiny_params(3, 3, 3)
-        assert np.array_equal(self.fuse(np.zeros((1, 3)), np.zeros(3), params), np.zeros((1, 9)))
-
-    def test_each_third_by_hand(self):
-        rng = np.random.default_rng(9)
-        params = tiny_params(3, 3, 3, seed=9)
-        s, q = rng.normal(size=(2, 3)), rng.normal(size=3)
-        out = self.fuse(s, q, params)
-        assert out.shape == (2, 9)
-        assert np.allclose(out[:, :3], s + q, atol=1e-12)
-        assert np.allclose(out[:, 3:6], s * q, atol=1e-12)
-        want_fc = np.hstack([s, np.tile(q, (2, 1))]) @ params["fusion.w"].T + params["fusion.b"]
-        assert np.allclose(out[:, 6:], want_fc, atol=1e-12)
-
-    def test_width_256_gives_768(self):
-        params = tiny_params(256, 8, 8, depth_self=0, depth_cross=0)
-        rng = np.random.default_rng(10)
-        out = self.fuse(rng.normal(size=(2, 5, 256)), rng.normal(size=(2, 256)), params)
-        assert out.shape == (2, 5, 768)
-
-    def test_mismatched_vectors_rejected(self):
-        params = tiny_params(3, 3, 3)
-        with pytest.raises(ValueError):
-            self.fuse(np.zeros((1, 3)), np.zeros(4), params)
-
-
 class TestScoreProposals:
     """The proposal attention and sigmoid classifier at the end of match."""
 
@@ -375,6 +340,61 @@ class TestMatchPairs:
             match_pairs([(short, query), (long, query)], params, GRID)
 
 
+def draw_head_biases(params, rng):
+    """Nonzero fusion.b, proposal_attn.fc_b and classifier.b (init zeroes
+    them), so that each reaches the head's products and the scores."""
+    for name in ("fusion.b", "proposal_attn.fc_b", "classifier.b"):
+        params[name] = rng.normal(size=params[name].shape)
+
+
+def head_rig(d, seed):
+    """Six stacked pairs (a full and a padded video, queries of 1, 3 and 6
+    words) and parameters with nonzero head biases."""
+    rng = np.random.default_rng(seed)
+    full, _, params = rig(d=d, seed=seed)
+    padded, _, _ = rig(d=d, valid=5, seed=seed + 1)
+    queries = [token_seq(rng.normal(size=(n, 2))) for n in (1, 3, 6)]
+    draw_head_biases(params, rng)
+    return [(video, q) for video in (full, padded) for q in queries], params
+
+
+class TestFusedRowsOracle:
+    """match_pairs scores the 2d-wide rows [S, S*Q] and never builds the
+    fused rows; numpy_match builds them as the paper does, (S+Q) || S*Q ||
+    FC(S||Q) third by third (3d wide), and self-attends them."""
+
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_stacked_ragged_pairs_float64(self, d):
+        pairs, params = head_rig(d, 35)
+        got = match_pairs(pairs, params, GRID).scores
+        want = np.stack([numpy_match(video, query, params, GRID) for video, query in pairs])
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_stacked_ragged_pairs_float32(self):
+        pairs, params = head_rig(16, 36)
+        got = match_pairs(pairs, {k: a.astype(np.float32) for k, a in params.items()}, GRID)
+        want = np.stack([numpy_match(video, query, params, GRID) for video, query in pairs])
+        # The largest difference measured over seeds 36-45 was 7.7e-8, under
+        # one float32 epsilon (1.2e-7); the bound leaves a factor of about 4.
+        assert got.scores.dtype == np.float32
+        assert np.abs(got.scores - want).max() <= 3e-7
+
+    def test_zero_proposals_and_sentence_score_the_biases(self):
+        # S = 0 makes Z = 0: every fused row is [0, 0, b_f], and each score
+        # is the classifier of that row alone.
+        video, query, params = rig(d=3, d_v=3, d_t=2, seed=37, depth_self=0, depth_cross=0)
+        rng = np.random.default_rng(37)
+        draw_head_biases(params, rng)
+        params["video_proj.w"][:] = 0.0
+        params["query_proj.w"][:] = 0.0
+        row = np.concatenate([np.zeros(6), params["fusion.b"]])
+        out = (row + row @ params["proposal_attn.w_v"].T) @ params["proposal_attn.fc_w"].T
+        want = 1.0 / (1.0 + np.exp(-((out + params["proposal_attn.fc_b"])
+                                     @ params["classifier.w"] + params["classifier.b"])))
+        scores = match(video, query, params, GRID).scores
+        assert np.allclose(scores, np.full(len(scores), want), rtol=0, atol=1e-12)
+
+
 class TestLocalize:
     def test_unique_argmax(self):
         video, query, params = rig(seed=19)
@@ -444,16 +464,21 @@ class TestGradients:
                 denom = max(abs(numeric), abs(analytic), 1e-4)
                 assert abs(numeric - analytic) / denom < 1e-3, name
 
-    @pytest.mark.parametrize("name", ["proposal_attn.w_q", "proposal_attn.w_k", "q2v.0.w_k"])
+    @pytest.mark.parametrize("name", [
+        "proposal_attn.w_q", "proposal_attn.w_k", "q2v.0.w_k", "fusion.w", "fusion.b",
+        "proposal_attn.w_v", "proposal_attn.fc_w", "proposal_attn.fc_b", "classifier.w"])
     def test_query_key_fold_reaches_both_factors(self, name):
         # qk = W_q^T W_k is one node per parameter set, shared by every pair
-        # of the forward; its backward must reach W_q and W_k. Larger query
-        # and key weights keep the attention away from uniform, and so its
-        # gradients well above the differences' rounding.
+        # of the forward; its backward must reach W_q and W_k. The head's
+        # fold (B, E, e, K u, K v, rho, beta) is one node each as well, and
+        # must reach every tensor it is made of. Larger query and key weights
+        # keep the attention away from uniform, and so its gradients well
+        # above the differences' rounding; nonzero biases bring b_f into e.
         video, query, params = rig(d=8, seed=29)
         for key in [k for k in params if k.endswith((".w_q", ".w_k"))]:
             params[key] *= 8.0
         rng = np.random.default_rng(30)
+        draw_head_biases(params, rng)
         pairs = [(video, query), (video, token_seq(rng.normal(size=(5, 2))))]
         weights = rng.normal(size=(len(pairs), len(GRID.grid_for(8))))
 
@@ -485,12 +510,30 @@ class TestPrepare:
         lifted = lift(params)
         prepared = lift(lifted)
         assert all(prepared[name] is leaf for name, leaf in lifted.items())
-        for prefix in ("v2v.0", "q2q.0", "q2v.0", "v2q.0", "proposal_attn"):
+        for prefix in ("v2v.0", "q2q.0", "q2v.0", "v2q.0"):
             want = params[f"{prefix}.w_q"].T @ params[f"{prefix}.w_k"]
             assert np.array_equal(prepared[f"{prefix}.qk"].value, want), prefix
+        assert "proposal_attn.qk" not in prepared
+        # The head's products from the dense K = [[I, 0, W_s^T], [0, I, 0]]
+        # and R = [I; 0; W_t] of F = Z K + 1 r^T, r = R q + [0, 0, b_f].
+        rng = np.random.default_rng(32)
+        draw_head_biases(params, rng)
+        p = lift(params)
+        d = params["fusion.b"].shape[0]
+        eye, zero = np.eye(d), np.zeros((d, d))
+        w_s, w_t = params["fusion.w"][:, :d], params["fusion.w"][:, d:]
+        k = np.block([[eye, zero, w_s.T], [zero, eye, zero]])
+        r_q, r_0 = np.vstack([eye, zero, w_t]), np.concatenate([np.zeros(2 * d), params["fusion.b"]])
+        qk = params["proposal_attn.w_q"].T @ params["proposal_attn.w_k"]
         u = params["proposal_attn.fc_w"].T @ params["classifier.w"]
-        assert np.array_equal(prepared["classifier.u"].value, u)
-        assert np.array_equal(prepared["classifier.v"].value, params["proposal_attn.w_v"].T @ u)
+        v = params["proposal_attn.w_v"].T @ u
+        bias = params["proposal_attn.fc_b"] @ params["classifier.w"] + params["classifier.b"]
+        want = {"head.B": k @ qk @ k.T, "head.E": k @ qk.T @ r_q, "head.e": k @ qk.T @ r_0,
+                "head.Ku": k @ u, "head.Kv": k @ v, "head.rho": r_q.T @ (u + v),
+                "head.beta": r_0 @ (u + v) + bias}
+        for name, value in want.items():
+            assert p[name].shape == value.shape, name
+            assert np.allclose(p[name].value, value, rtol=0, atol=1e-12), name
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_prepared_scores_equal_raw(self, dtype):

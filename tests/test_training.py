@@ -349,7 +349,8 @@ class TestTrain:
         before = live_tape_nodes()
         train(tiny_corpus(4), tiny_train_config(d=8, epochs=2))
         assert len(counts) == 4
-        assert counts == [before + 16] * 4
+        # the lifted products of each step: four units' qk and the head's fold
+        assert counts == [before + 57] * 4
 
     def test_float64_master_weights_and_moments(self, monkeypatch):
         seen = []
